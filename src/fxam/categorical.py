@@ -78,25 +78,30 @@ def gram_assemble(encoding, y_target, ridge, chunk=65536):
         rows.ravel(), weights=np.repeat(y_target, q), minlength=c
     )
 
+    # One bincount over the pair codes left * c + right counts a chunk's
+    # co-occurrences.  Its c^2-long count vector is used only while it is
+    # no longer than the pair-code array of a full chunk; beyond that,
+    # each chunk's pairs go through COO -> CSR instead.
+    by_count = c * c <= min(chunk, n) * q * q
+    pairs = np.zeros(c * c, np.int64) if by_count else sp.csr_matrix((c, c))
+    for start in range(0, n, chunk):
+        part = rows[start:start + chunk]
+        codes = (part[:, :, None] * c + part[:, None, :]).ravel()
+        if by_count:
+            pairs += np.bincount(codes, minlength=c * c)
+        else:
+            left, right = np.divmod(codes, c)
+            pairs = pairs + sp.coo_matrix(
+                (np.ones(codes.size), (left, right)), shape=(c, c)
+            ).tocsr()
+    if by_count:
+        pairs = pairs.reshape(c, c)
+
     if c < DENSE_GRAM_LIMIT:
-        gram = np.zeros((c, c))
-        for start in range(0, n, chunk):
-            part = rows[start:start + chunk]
-            left = np.repeat(part, q, axis=1).ravel()
-            right = np.tile(part, (1, q)).ravel()
-            np.add.at(gram, (left, right), 1.0)
+        gram = pairs.astype(float) if by_count else pairs.toarray()
         gram[np.diag_indices(c)] += ridge
     else:
-        gram = sp.csr_matrix((c, c))
-        for start in range(0, n, chunk):
-            part = rows[start:start + chunk]
-            left = np.repeat(part, q, axis=1).ravel()
-            right = np.tile(part, (1, q)).ravel()
-            ones = np.ones(left.size)
-            gram = gram + sp.coo_matrix(
-                (ones, (left, right)), shape=(c, c)
-            ).tocsr()
-        gram = gram + ridge * sp.identity(c, format="csr")
+        gram = sp.csr_matrix(pairs) + ridge * sp.identity(c, format="csr")
     return RidgeSystem(gram=gram, rhs=b, ridge=float(ridge))
 
 

@@ -26,7 +26,12 @@ from .evaluation import (
     write_csv,
 )
 from .model import deserialize, export_contributions, predict_batch, serialize
-from .synthetic import SynthConfig, experiment_sweep_configs, generate
+from .synthetic import (
+    TEMPORAL_PERIOD,
+    SynthConfig,
+    experiment_sweep_configs,
+    generate,
+)
 from .training import TemporalRule, TrainConfig, tsi_train
 
 USAGE_ERROR = 2
@@ -111,7 +116,8 @@ def _cmd_generate(args):
     dataset, truth = generate(config)
     write_csv(dataset, args.out)
     rules = {
-        name: TemporalRule(period=10, tau=1) for name in dataset.temporal
+        name: TemporalRule(period=TEMPORAL_PERIOD, tau=1)
+        for name in dataset.temporal
     }
     if args.schema_out:
         save_schema(dataset_schema(dataset, rules), args.schema_out)
@@ -251,7 +257,7 @@ def _cmd_sweep(args):
     for config in configs:
         dataset, _ = generate(config)
         rules = {
-            name: TemporalRule(period=10, tau=1)
+            name: TemporalRule(period=TEMPORAL_PERIOD, tau=1)
             for name in dataset.temporal
         }
         train_config = _build_train_config(args)

@@ -56,18 +56,23 @@ class Dataset:
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique across kinds")
 
+        # converted copies live on the instance; the caller's dicts are
+        # left as they were passed
+        numerical = {}
         for name, col in self.numerical.items():
             col = np.asarray(col, dtype=float)
-            self.numerical[name] = col
+            numerical[name] = col
             if col.shape != (n,):
                 raise ValueError(f"column '{name}': length mismatch")
             if not np.all(np.isfinite(col)):
                 raise ValueError(f"column '{name}': non-finite values")
+        categorical = {}
         for name, col in self.categorical.items():
             col = np.asarray(col)
-            self.categorical[name] = col
+            categorical[name] = col
             if col.shape != (n,):
                 raise ValueError(f"column '{name}': length mismatch")
+        temporal = {}
         for name, col in self.temporal.items():
             arr = np.asarray(col)
             if not np.issubdtype(arr.dtype, np.integer):
@@ -80,9 +85,12 @@ class Dataset:
                         "in units of tau"
                     )
                 arr = flt.astype(np.int64)
-            self.temporal[name] = arr.astype(np.int64)
+            temporal[name] = arr.astype(np.int64)
             if arr.shape != (n,):
                 raise ValueError(f"column '{name}': length mismatch")
+        object.__setattr__(self, "numerical", numerical)
+        object.__setattr__(self, "categorical", categorical)
+        object.__setattr__(self, "temporal", temporal)
 
     @property
     def n_records(self):

@@ -140,13 +140,21 @@ def ingest_csv(path, schema, require_response=True):
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
+    def short_row(i, col):
+        return ValueError(
+            f"{path}: row {i + 2}: column '{col}': missing field (the row "
+            f"has {len(rows[i])} of {len(header)} fields)"
+        )
+
     def parse_float(col, kind):
         out = np.empty(len(rows))
         pos = positions[col]
         for i, row in enumerate(rows):
-            token = row[pos]
             try:
+                token = row[pos]
                 out[i] = float(token)
+            except IndexError:
+                raise short_row(i, col) from None
             except ValueError:
                 raise ValueError(
                     f"{path}: row {i + 2}: column '{col}': could not parse "
@@ -166,7 +174,11 @@ def ingest_csv(path, schema, require_response=True):
             numerical[col.name] = parse_float(col.name, col.kind)
         elif col.kind == "categorical":
             pos = positions[col.name]
-            categorical[col.name] = np.array([row[pos] for row in rows])
+            try:
+                categorical[col.name] = np.array([row[pos] for row in rows])
+            except IndexError:
+                bad = next(i for i, row in enumerate(rows) if len(row) <= pos)
+                raise short_row(bad, col.name) from None
         elif col.kind == "temporal":
             values = parse_float(col.name, col.kind)
             if np.any(values != np.round(values)):

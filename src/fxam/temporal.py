@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .smoothers import (
+    KernelSmootherPlan,
     curvature_penalty,
     default_bandwidth,
-    fast_kernel_smooth,
     penalized_factor,
     penalized_apply,
 )
@@ -73,12 +73,41 @@ def _smoother_for(times, weights, penalty, config):
         factor = penalized_factor(times, penalty, weights)
         return lambda target: penalized_apply(factor, target, weights)
     if config.backend == "fast-kernel":
+        # extended precision, as fast_kernel_smooth certifies it
         h = default_bandwidth(times, config.bandwidth_factor)
-        return lambda target: fast_kernel_smooth(times, target, h, weights)
+        return KernelSmootherPlan(times, h, weights).smooth
     raise ValueError(f"unknown backend '{config.backend}'")
 
 
-def decompose(series, partition, residual, config=None, initial=None):
+@dataclass(frozen=True)
+class TemporalSmoothers:
+    """The trend smoother and one smoother per phase set.
+
+    Each is a callable mapping a target on its knots to fitted values.
+    They depend only on the time points, their weights, the partition and
+    the config, so one set serves every :func:`decompose` call of a fit.
+    """
+
+    trend: object
+    phases: tuple
+
+
+def build_smoothers(series, partition, config):
+    """Factor or plan the trend and every phase smoother once."""
+    times = series.times.astype(float)
+    weights = series.weights.astype(float)
+    return TemporalSmoothers(
+        trend=_smoother_for(times, weights, config.trend_penalty, config),
+        phases=tuple(
+            _smoother_for(times[idx], weights[idx], config.seasonal_penalty,
+                          config)
+            for idx in partition.phase_sets
+        ),
+    )
+
+
+def decompose(series, partition, residual, config=None, initial=None,
+              smoothers=None):
     """Split a residual target into trend plus seasonal components.
 
     Parameters
@@ -93,6 +122,9 @@ def decompose(series, partition, residual, config=None, initial=None):
     initial : TemporalComponents, optional
         Warm start; resuming from the previous components keeps the outer
         training objective non-increasing.
+    smoothers : TemporalSmoothers, optional
+        Built by :func:`build_smoothers` from the same series, partition
+        and config; built here when omitted.
 
     Returns
     -------
@@ -119,12 +151,8 @@ def decompose(series, partition, residual, config=None, initial=None):
     weights = series.weights.astype(float)
     total_weight = weights.sum()
 
-    trend_fit = _smoother_for(times, weights, config.trend_penalty, config)
-    phase_fits = [
-        _smoother_for(times[idx], weights[idx], config.seasonal_penalty,
-                      config)
-        for idx in partition.phase_sets
-    ]
+    if smoothers is None:
+        smoothers = build_smoothers(series, partition, config)
 
     if initial is not None:
         trend = np.asarray(initial.trend, dtype=float).copy()
@@ -147,9 +175,9 @@ def decompose(series, partition, residual, config=None, initial=None):
     iterations = 0
     for sweep in range(1, config.max_iterations + 1):
         iterations = sweep
-        new_trend = trend_fit(residual - seasonal)
+        new_trend = smoothers.trend(residual - seasonal)
         new_seasonal = seasonal.copy()
-        for idx, fit in zip(partition.phase_sets, phase_fits):
+        for idx, fit in zip(partition.phase_sets, smoothers.phases):
             if idx.size == 0:
                 continue
             new_seasonal[idx] = fit(residual[idx] - new_trend[idx])

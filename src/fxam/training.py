@@ -49,7 +49,7 @@ from .smoothers import (
     penalized_factor,
     second_difference_matrix,
 )
-from .temporal import DecomposeConfig, decompose
+from .temporal import DecomposeConfig, build_smoothers, decompose
 
 BACKENDS = ("penalized", "fast-kernel")
 
@@ -223,6 +223,9 @@ class _TemporalCache:
             tol_factor=config.inner_tol_factor,
             max_iterations=config.max_inner_iterations,
         )
+        self.smoothers = build_smoothers(
+            self.series, self.partition, self.decompose_config
+        )
 
     def knot_means(self, record_values):
         sums = np.bincount(self.series.back_map, weights=record_values,
@@ -249,7 +252,6 @@ class TrainingProblem:
                 self.encoding, np.zeros(self.n), config.categorical_ridge
             )
             self.gram = seeded.gram
-            self.gram_lambda_max = power_iteration_max_eig(self.gram)
             # the intercept is solved jointly with the categorical block
             # (the two share the constant direction, and alternating them
             # converges at the shrinking factor of that direction, which
@@ -277,7 +279,6 @@ class TrainingProblem:
             )
         else:
             self.gram = None
-            self.gram_lambda_max = None
             self.gram_joint = None
             self.gram_joint_lambda_max = None
         self.temporal = {}
@@ -580,6 +581,7 @@ def stage3_temporal(problem, state, config=None):
             cache.series, cache.partition, target,
             cache.decompose_config,
             initial=state.temporal_components.get(name),
+            smoothers=cache.smoothers,
         )
         mean = float(np.average(components.trend, weights=cache.weights))
         components.trend = components.trend - mean

@@ -66,14 +66,42 @@ class TestGramAssemble:
         with pytest.raises(ValueError, match="no categorical"):
             gram_assemble(enc, np.zeros(3), ridge=1.0)
 
-    def test_sparse_above_threshold(self):
+    @staticmethod
+    def _sparse_case(chunk):
         rng = np.random.default_rng(0)
-        system = random_qhot_system(rng, c=120, n=400)
+        c, n = 120, 2000
+        rows = np.stack([rng.integers(0, 40, n),
+                         40 + rng.integers(0, 40, n),
+                         80 + rng.integers(0, 40, n)], axis=1)
+        system = gram_assemble(encoding_from_rows(rows), np.zeros(n),
+                               ridge=0.5, chunk=chunk)
+        z = np.zeros((n, c))
+        z[np.arange(n)[:, None], rows] = 1.0
+        return system, z.T @ z + 0.5 * np.eye(c)
+
+    def test_sparse_above_threshold(self):
+        # c^2 = 14400 fits in the 2000 * 3^2 pair codes: one count vector
+        system, expected = self._sparse_case(chunk=65536)
         assert sp.issparse(system.gram)
-        dense_diag = system.gram.diagonal()
-        counts = np.zeros(120)
-        assert np.all(dense_diag >= 1.0)  # ridge only where no records
-        assert counts.size == 120
+        np.testing.assert_array_equal(system.gram.toarray(), expected)
+
+    @pytest.mark.parametrize("chunk", [1700, 100])
+    def test_sparse_across_chunks(self, chunk):
+        # 1700 chunks still count by bincount; 100 * 3^2 < c^2 takes the
+        # per-chunk COO -> CSR path
+        system, expected = self._sparse_case(chunk=chunk)
+        assert sp.issparse(system.gram)
+        np.testing.assert_array_equal(system.gram.toarray(), expected)
+
+    def test_dense_with_few_records_per_chunk(self):
+        # 1 * 2^2 pair codes per chunk < c^2: the per-chunk path, dense out
+        rows = np.array([[0, 3], [1, 3], [2, 4], [0, 4], [2, 3]])
+        system = gram_assemble(encoding_from_rows(rows), np.zeros(5),
+                               ridge=1.0, chunk=1)
+        z = np.zeros((5, 5))
+        z[np.arange(5)[:, None], rows] = 1.0
+        assert not sp.issparse(system.gram)
+        np.testing.assert_array_equal(system.gram, z.T @ z + np.eye(5))
 
     def test_matches_dense_design(self):
         rng = np.random.default_rng(1)

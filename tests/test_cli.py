@@ -166,6 +166,21 @@ class TestExitCodes:
         ])
         assert rc == 3
 
+    def test_ragged_row_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "ragged.csv"
+        data.write_text("x,y\n1.0,2.0\n3.0\n5.0,6.0\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": "x", "kind": "numerical"},
+            {"name": "y", "kind": "response"},
+        ]}))
+        rc = main([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 3
+        assert "row 3: column 'y'" in capsys.readouterr().err
+
     def test_bad_schema_is_data_error(self, pipeline, tmp_path):
         bad = tmp_path / "schema.json"
         bad.write_text(json.dumps({"columns": [

@@ -37,6 +37,18 @@ class TestDatasetValidation:
             Dataset(response=np.zeros(2),
                     temporal={"t": np.array([0.5, 1.0])})
 
+    def test_caller_dicts_left_unchanged(self):
+        numerical = {"x": [1.0, 2.0, 3.0]}
+        categorical = {"c": ["a", "b", "a"]}
+        temporal = {"t": [0.0, 1.0, 2.0]}
+        dataset = Dataset(response=[0.0, 1.0, 2.0], numerical=numerical,
+                          categorical=categorical, temporal=temporal)
+        assert numerical == {"x": [1.0, 2.0, 3.0]}
+        assert categorical == {"c": ["a", "b", "a"]}
+        assert temporal == {"t": [0.0, 1.0, 2.0]}
+        assert isinstance(dataset.numerical["x"], np.ndarray)
+        assert dataset.temporal["t"].dtype == np.int64
+
     def test_empty_response_rejected(self):
         with pytest.raises(ValueError):
             Dataset(response=np.zeros(0))

@@ -71,6 +71,16 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=r"row 3: column 'x'"):
             ingest_csv(path, simple_schema())
 
+    def test_short_categorical_row_names_row_and_column(self, tmp_path):
+        schema = SchemaFile(columns=(
+            ColumnSpec(name="y", kind="response"),
+            ColumnSpec(name="c", kind="categorical"),
+        ))
+        path = tmp_path / "data.csv"
+        write_lines(path, ["y,c", "1.0,a", "2.0,b", "3.0"])
+        with pytest.raises(ValueError, match=r"row 4: column 'c'"):
+            ingest_csv(path, schema)
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "data.csv"
         write_lines(path, ["a,y", "1,2"])

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from fxam.data import compress_time_points, partition_phases
-from fxam.temporal import DecomposeConfig, decompose, evaluate_temporal
+import fxam.temporal
+import fxam.training
+from fxam.data import Dataset, compress_time_points, partition_phases
+from fxam.smoothers import (
+    KernelSmootherPlan,
+    default_bandwidth,
+    fast_kernel_smooth,
+    penalized_smooth,
+)
+from fxam.temporal import (
+    DecomposeConfig,
+    build_smoothers,
+    decompose,
+    evaluate_temporal,
+)
+from fxam.training import TemporalRule, TrainConfig, tsi_train
 
 
 def make_series(times, values, tau=1, period=4):
@@ -122,6 +136,104 @@ class TestDecompose:
         components = decompose(series, partition, series.values, config)
         truth = np.sin(2 * np.pi * series.times / 4)
         assert np.corrcoef(components.seasonal, truth)[0, 1] > 0.9
+
+
+BACKENDS = ("penalized", "fast-kernel")
+
+
+def _seasonal_series(seed, n_times, period):
+    rng = np.random.default_rng(seed)
+    times = rng.integers(0, n_times, 4 * n_times)
+    values = (0.02 * times + np.sin(2 * np.pi * times / period)
+              + rng.normal(0, 0.3, times.size))
+    return times, values
+
+
+class TestPrebuiltSmoothers:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_match_one_shot_smoothers(self, backend):
+        times, values = _seasonal_series(19, 80, 6)
+        series, partition = make_series(times, values, period=6)
+        config = DecomposeConfig(backend=backend, trend_penalty=30.0,
+                                 seasonal_penalty=10.0)
+        smoothers = build_smoothers(series, partition, config)
+        knots = series.times.astype(float)
+        weights = series.weights.astype(float)
+        rng = np.random.default_rng(0)
+
+        def one_shot(idx, penalty, target):
+            x, w = knots[idx], weights[idx]
+            if backend == "penalized":
+                return penalized_smooth(x, target, penalty, w)
+            h = default_bandwidth(x, config.bandwidth_factor)
+            return fast_kernel_smooth(x, target, h, w)
+
+        everything = np.arange(knots.size)
+        for _ in range(2):  # a smoother serves any number of targets
+            target = rng.normal(0, 1, knots.size)
+            np.testing.assert_array_equal(
+                smoothers.trend(target),
+                one_shot(everything, config.trend_penalty, target),
+            )
+            for idx, fit in zip(partition.phase_sets, smoothers.phases):
+                np.testing.assert_array_equal(
+                    fit(target[idx]),
+                    one_shot(idx, config.seasonal_penalty, target[idx]),
+                )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_decompose_bit_identical(self, backend):
+        times, values = _seasonal_series(23, 60, 5)
+        series, partition = make_series(times, values, period=5)
+        config = DecomposeConfig(backend=backend, trend_penalty=50.0,
+                                 seasonal_penalty=20.0, max_iterations=15)
+        smoothers = build_smoothers(series, partition, config)
+        own = decompose(series, partition, series.values, config)
+        prebuilt = decompose(series, partition, series.values, config,
+                             smoothers=smoothers)
+        np.testing.assert_array_equal(prebuilt.trend, own.trend)
+        np.testing.assert_array_equal(prebuilt.seasonal, own.seasonal)
+        assert prebuilt.iterations == own.iterations
+        # and again warm-started, reusing the same smoothers
+        own = decompose(series, partition, 0.5 * series.values, config,
+                        initial=own)
+        prebuilt = decompose(series, partition, 0.5 * series.values, config,
+                             initial=prebuilt, smoothers=smoothers)
+        np.testing.assert_array_equal(prebuilt.trend, own.trend)
+        np.testing.assert_array_equal(prebuilt.seasonal, own.seasonal)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fit_builds_one_smoother_per_phase(self, backend, monkeypatch):
+        period = 5
+        times, values = _seasonal_series(29, 100, period)
+        dataset = Dataset(response=values, temporal={"t": times})
+        config = TrainConfig(
+            backend=backend, trend_smoothness=50.0, seasonal_smoothness=20.0,
+            temporal_rules={"t": TemporalRule(period=period)},
+            max_inner_iterations=3,
+        )
+        builds = []
+        decomposes = []
+        if backend == "penalized":
+            factor = fxam.temporal.penalized_factor
+            monkeypatch.setattr(
+                fxam.temporal, "penalized_factor",
+                lambda *a, **k: builds.append(1) or factor(*a, **k),
+            )
+        else:
+            init = KernelSmootherPlan.__init__
+            monkeypatch.setattr(
+                KernelSmootherPlan, "__init__",
+                lambda *a, **k: builds.append(1) or init(*a, **k),
+            )
+        inner = fxam.training.decompose
+        monkeypatch.setattr(
+            fxam.training, "decompose",
+            lambda *a, **k: decomposes.append(1) or inner(*a, **k),
+        )
+        tsi_train(dataset, config)
+        assert len(decomposes) >= 2
+        assert len(builds) == period + 1
 
 
 class TestEvaluateTemporal:
