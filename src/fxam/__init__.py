@@ -43,8 +43,7 @@ from .categorical import (
     nga_ridge_solve,
     power_iteration_max_eig,
 )
-from .temporal import DecomposeConfig, TemporalComponents, decompose, \
-    evaluate_temporal
+from .temporal import DecomposeConfig, TemporalComponents, decompose
 from .training import (
     TemporalRule,
     TrainConfig,
@@ -87,7 +86,7 @@ __all__ = [
     "naive_kernel_smooth", "penalized_smooth", "smoother_matrix",
     "ConvergenceError", "RidgeSystem", "closed_form_ridge", "gram_assemble",
     "nga_ridge_solve", "power_iteration_max_eig",
-    "DecomposeConfig", "TemporalComponents", "decompose", "evaluate_temporal",
+    "DecomposeConfig", "TemporalComponents", "decompose",
     "TemporalRule", "TrainConfig", "TrainingProblem", "TrainState",
     "estimate_sample_size", "initial_state", "normal_equation_direct_solve",
     "normal_equation_residuals", "objective_value", "order_features",

@@ -233,14 +233,6 @@ class PhasePartition:
     tau: int
     phase_sets: tuple  # of int64 index arrays, length == period
 
-    def phase_of(self, t):
-        """Phase of an integer time (must be divisible by tau)."""
-        if t % self.tau != 0:
-            raise ValueError(
-                f"time {t} is not divisible by tau={self.tau}"
-            )
-        return int((t // self.tau) % self.period)
-
 
 def partition_phases(series, tau, period):
     """Split compressed time points into the period's phase sets.

@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -117,25 +118,175 @@ def ingest_csv(path, schema, require_response=True):
     """Parse a typed CSV into a Dataset.
 
     The header must contain every schema column (extra file columns are
-    ignored).  Numeric parse failures report the row and column; temporal
-    values must be integer multiples of the column's tau.
+    ignored).  Fields follow the ``csv`` module's default dialect: commas,
+    ``"`` quoting with doubled quotes inside; ``#`` is ordinary data.
+    Every row is a record, so a blank row is a missing-field error.
+    Numeric parse failures report the row and column; temporal values
+    must be integer multiples of the column's tau.
+
+    numpy's C reader parses the file; a file it could read differently
+    from ``float`` and the ``csv`` module, or one that holds any error, is
+    parsed again row by row, which writes the error message.
     """
+    dataset = _ingest_fast(path, schema, require_response)
+    if dataset is None:
+        dataset = _ingest_rows(path, schema, require_response)
+    return dataset
+
+
+def _column_positions(header, schema, require_response):
+    """Header index of each schema column, and the first missing one."""
+    positions = {}
+    for col in schema.columns:
+        if col.kind == "ignore":
+            continue
+        if col.name in header:
+            positions[col.name] = header.index(col.name)
+        elif col.kind != "response" or require_response:
+            return positions, col.name
+    return positions, None
+
+
+# Bytes that send a file to the per-row parser: np.loadtxt strips the
+# separators \x1c-\x1f around a number where float() rejects them, and a
+# fixed-width string array drops a label's trailing NUL.
+_ROW_PARSER_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Rows per np.loadtxt call.  Columns are filled chunk by chunk, so no
+# whole-file block is allocated beside them.
+_FAST_CHUNK_ROWS = 2048
+# Labels are parsed as <U{_LABEL_WIDTH}; a file with a label that fills
+# the width, and so may have been cut, goes to the per-row parser.
+_LABEL_WIDTH = 32
+
+
+def _data_line_count(path):
+    """Lines after the header; None if the file holds a row-parser byte."""
+    lines = 0
+    last = b"\n"
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            if any(byte in block for byte in _ROW_PARSER_BYTES):
+                return None
+            lines += block.count(b"\n")
+            last = block[-1:]
+    return lines - 1 + (last != b"\n")
+
+
+def _blocks(path, positions, n_rows, dtype):
+    """The fields at ``positions`` of every data row, in row chunks.
+
+    Raises ValueError (or a warning, under an "error" filter) unless the
+    file holds exactly ``n_rows`` rows after the header, none of them
+    blank.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        next(csv.reader(handle))
+        for start in range(0, n_rows, _FAST_CHUNK_ROWS):
+            stop = min(start + _FAST_CHUNK_ROWS, n_rows)
+            block = np.loadtxt(
+                handle, dtype=dtype, comments=None, delimiter=",",
+                quotechar='"', usecols=positions, max_rows=stop - start,
+                ndmin=2, encoding="utf-8",
+            )
+            if block.shape[0] != stop - start:
+                raise ValueError("fewer rows than lines")
+            yield start, stop, block
+        if handle.read(1):
+            raise ValueError("more rows than lines")
+
+
+def _read_numbers(path, positions, n_rows):
+    columns = [np.empty(n_rows) for _ in positions]
+    if positions:
+        for start, stop, block in _blocks(path, positions, n_rows, float):
+            for column, values in zip(columns, block.T):
+                column[start:stop] = values
+    return columns
+
+
+def _read_labels(path, positions, n_rows):
+    """Label columns with the dtype np.array gives a list of them,
+    <U{longest label}; None if a label may have been cut."""
+    pieces = [[] for _ in positions]
+    if positions:
+        dtype = f"<U{_LABEL_WIDTH}"
+        for _, _, block in _blocks(path, positions, n_rows, dtype):
+            widths = np.char.str_len(block).max(axis=0)
+            if widths.max() >= _LABEL_WIDTH:
+                return None
+            for piece, labels, width in zip(pieces, block.T, widths):
+                piece.append(labels.astype(f"<U{max(1, width)}"))
+    # joined pieces take the widest piece's width
+    return [np.concatenate(piece) for piece in pieces]
+
+
+def _ingest_fast(path, schema, require_response):
+    """What ``_ingest_rows`` returns, parsed by np.loadtxt; None for a file
+    that is not plainly regular (a blank row, a quoted line break, a
+    non-finite value, a field ``float`` reads differently, any error or
+    warning)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _parse_fast(path, schema, require_response)
+    except (OSError, ValueError, csv.Error, Warning):
+        return None
+
+
+def _parse_fast(path, schema, require_response):
+    n_rows = _data_line_count(path)
+    if n_rows is None or n_rows < 1:
+        return None
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        header = next(csv.reader(handle))
+    positions, missing = _column_positions(header, schema, require_response)
+    if missing is not None:
+        return None
+    numbers = [
+        col for col in schema.columns
+        if col.name in positions and col.kind != "categorical"
+    ]
+    labels = schema.of_kind("categorical")
+    parsed = {}
+    values = _read_numbers(path, [positions[c.name] for c in numbers], n_rows)
+    for col, column in zip(numbers, values):
+        if not np.all(np.isfinite(column)):
+            return None
+        if col.kind == "temporal":
+            if np.any(column != np.round(column)):
+                return None
+            column = column.astype(np.int64)
+            if np.any(column % col.tau != 0):
+                return None
+        parsed[col.name] = column
+    texts = _read_labels(path, [positions[c.name] for c in labels], n_rows)
+    if texts is None:
+        return None
+    parsed.update(zip((c.name for c in labels), texts))
+    name = schema.response.name
+    return Dataset(
+        response=parsed[name] if name in parsed else np.zeros(n_rows),
+        numerical={c.name: parsed[c.name]
+                   for c in schema.of_kind("numerical")},
+        categorical={c.name: parsed[c.name] for c in labels},
+        temporal={c.name: parsed[c.name]
+                  for c in schema.of_kind("temporal")},
+    )
+
+
+def _ingest_rows(path, schema, require_response):
+    """The per-row parser: ``csv.reader`` and ``float`` on every field.
+    Writes every ingest error message."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        positions = {}
-        for col in schema.columns:
-            if col.kind == "ignore":
-                continue
-            if col.kind == "response" and not require_response:
-                if col.name not in header:
-                    continue
-            if col.name not in header:
-                raise ValueError(f"{path}: missing column '{col.name}'")
-            positions[col.name] = header.index(col.name)
+        positions, missing = _column_positions(header, schema,
+                                               require_response)
+        if missing is not None:
+            raise ValueError(f"{path}: missing column '{missing}'")
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -250,7 +250,8 @@ def serialize(model):
         },
         "diagnostics": _encode_floats(model.diagnostics),
     }
-    return json.dumps(doc, indent=1).encode("utf-8")
+    # compact separators keep json on its C encoder, which indent= disables
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
 def deserialize(payload):

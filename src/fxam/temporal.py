@@ -228,27 +228,3 @@ def _local_objective(series, partition, residual, trend, seasonal, config):
                 times[idx], seasonal[idx]
             )
     return value
-
-
-def evaluate_temporal(components, partition, t):
-    """Trend and seasonal values at an integer time.
-
-    Trend interpolates linearly over the compressed time points, clamped
-    beyond the observed range.  Seasonal interpolates within the phase
-    curve of ``t``; an empty phase contributes zero.
-
-    Raises
-    ------
-    ValueError
-        If ``t`` is not divisible by the partition's tau.
-    """
-    phi = partition.phase_of(t)  # validates divisibility
-    times = components.times.astype(float)
-    trend_value = float(np.interp(float(t), times, components.trend))
-    idx = partition.phase_sets[phi]
-    if idx.size == 0:
-        return trend_value, 0.0
-    seasonal_value = float(
-        np.interp(float(t), times[idx], components.seasonal[idx])
-    )
-    return trend_value, seasonal_value

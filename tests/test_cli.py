@@ -1,11 +1,21 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fxam.cli import main
 from fxam.model import deserialize
+
+
+def read_text(path):
+    return Path(path).read_text(encoding="utf-8")
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +43,10 @@ def pipeline(tmp_path_factory):
 
 class TestGenerate:
     def test_outputs_exist(self, pipeline):
-        header = open(pipeline["data"]).readline().strip().split(",")
+        header = read_text(pipeline["data"]).splitlines()[0].split(",")
         assert header[-1] == "y"
         assert "time" in header
-        doc = json.load(open(pipeline["schema"]))
+        doc = json.loads(read_text(pipeline["schema"]))
         kinds = {c["name"]: c["kind"] for c in doc["columns"]}
         assert kinds["y"] == "response"
         assert kinds["time"] == "temporal"
@@ -44,7 +54,7 @@ class TestGenerate:
 
 class TestTrainPredict:
     def test_model_file_is_versioned(self, pipeline):
-        model = deserialize(open(pipeline["model"], "rb").read())
+        model = deserialize(Path(pipeline["model"]).read_bytes())
         assert model.schema["temporal"] == ["time"]
 
     def test_predict_writes_one_value_per_row(self, pipeline):
@@ -54,7 +64,7 @@ class TestTrainPredict:
             pipeline["data"], "--schema", pipeline["schema"], "--out", out,
         ])
         assert rc == 0
-        rows = open(out).read().splitlines()
+        rows = read_text(out).splitlines()
         assert rows[0] == "prediction"
         assert len(rows) == 1501
         float(rows[1])
@@ -71,7 +81,7 @@ class TestTrainPredict:
             "--max-cycles", "30",
         ])
         assert rc == 0
-        model = deserialize(open(out, "rb").read())
+        model = deserialize(Path(out).read_bytes())
         # the flag overrode the file's 2-cycle cap
         assert model.diagnostics["cycles"] > 2 or model.converged
 
@@ -95,7 +105,7 @@ class TestEvaluate:
             "--no-sampling",
         ])
         assert rc == 0
-        rows = list(csv.reader(open(report)))
+        rows = read_csv(report)
         assert rows[0] == ["fold", "rmse", "train_seconds"]
         assert rows[-1][0] == "mean"
 
@@ -114,7 +124,7 @@ class TestExports:
         out = str(tmp_path / "decomp.csv")
         rc = main(["decompose", "--model", pipeline["model"], "--out", out])
         assert rc == 0
-        rows = list(csv.reader(open(out)))
+        rows = read_csv(out)
         assert rows[0] == ["feature", "component", "phase", "time", "value"]
         components = {row[1] for row in rows[1:]}
         assert components == {"trend", "seasonal"}
@@ -133,7 +143,7 @@ class TestExports:
             "--out", out,
         ])
         assert rc == 0
-        rows = list(csv.reader(open(out)))
+        rows = read_csv(out)
         kinds = {row[0] for row in rows[1:]}
         assert kinds == {"shape", "categorical", "trend", "seasonal"}
 
@@ -148,7 +158,7 @@ class TestSweep:
             "--outer-tol", "1e-4",
         ])
         assert rc == 0
-        rows = list(csv.reader(open(out)))
+        rows = read_csv(out)
         assert len(rows) == 4  # header + three feature counts
         assert rows[0][0] == "records"
 

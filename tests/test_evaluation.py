@@ -1,6 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import fxam.evaluation
 from fxam.data import Dataset
 from fxam.evaluation import (
     ColumnSpec,
@@ -128,6 +134,184 @@ class TestIngestCsv:
                                       dataset.numerical["x"])
         np.testing.assert_array_equal(loaded.temporal["t"],
                                       dataset.temporal["t"])
+
+
+def assert_same_dataset(got, expected):
+    """Equal column names, dtypes and bytes; every column owns its data."""
+    pairs = [(got.response, expected.response)]
+    for kind in ("numerical", "categorical", "temporal"):
+        assert list(getattr(got, kind)) == list(getattr(expected, kind))
+        pairs += [
+            (getattr(got, kind)[name], getattr(expected, kind)[name])
+            for name in getattr(got, kind)
+        ]
+    for a, b in pairs:
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+        assert a.flags.c_contiguous and a.flags.owndata
+
+
+NUMERIC_SCHEMA = simple_schema()
+LABEL_SCHEMA = SchemaFile(columns=(
+    ColumnSpec(name="c", kind="categorical"),
+    ColumnSpec(name="x", kind="numerical"),
+    ColumnSpec(name="y", kind="response"),
+))
+TEMPORAL_SCHEMA = SchemaFile(columns=(
+    ColumnSpec(name="t", kind="temporal", tau=2, period=3),
+    ColumnSpec(name="y", kind="response"),
+))
+
+# (id, file text, schema, require_response, error text or None, whether
+# numpy's reader takes the file)
+INGEST_CASES = [
+    ("blank-line-mid", "x,y\n1,2\n\n3,4\n", NUMERIC_SCHEMA, True,
+     "row 3: column 'x': missing field", False),
+    ("blank-line-end", "x,y\n1,2\n3,4\n\n", NUMERIC_SCHEMA, True,
+     "row 4: column 'x': missing field", False),
+    ("hash-in-label", "c,x,y\na#1,1,2\n#b,2,3\n", LABEL_SCHEMA, True,
+     None, True),
+    ("spaces-around-fields", "c,x,y\n a ,  1.5 ,2\nb, 2,3 \n",
+     LABEL_SCHEMA, True, None, True),
+    ("quoted-comma", 'c,x,y\n"a,b",1,2\nc,2,3\n', LABEL_SCHEMA, True,
+     None, True),
+    ("doubled-quote", 'c,x,y\n"say ""hi""",1,2\nc,2,3\n', LABEL_SCHEMA,
+     True, None, True),
+    ("quote-inside-field", 'c,x,y\na"b,1,2\n"ab"c,2,3\n', LABEL_SCHEMA,
+     True, None, True),
+    ("quoted-line-break", 'c,x,y\n"a\nb",1,2\nc,2,3\n', LABEL_SCHEMA,
+     True, None, False),
+    ("crlf", "c,x,y\r\na,1,2\r\nb,2,3\r\n", LABEL_SCHEMA, True, None,
+     True),
+    ("cr-only", "x,y\r1,2\r3,4\r", NUMERIC_SCHEMA, True, None, False),
+    ("no-final-newline", "x,y\n1,2\n3,4", NUMERIC_SCHEMA, True, None, True),
+    ("underscore-digits", "x,y\n1_0,2\n3,4\n", NUMERIC_SCHEMA, True, None,
+     False),
+    ("unit-separator", "x,y\n1\x1f,2\n", NUMERIC_SCHEMA, True,
+     "row 2: column 'x': could not parse", False),
+    ("nan", "x,y\n1,2\nnan,3\n", NUMERIC_SCHEMA, True,
+     "row 3: column 'x': non-finite value", False),
+    ("inf", "x,y\n1,inf\n", NUMERIC_SCHEMA, True,
+     "row 2: column 'y': non-finite value", False),
+    ("overflow", "x,y\n1e400,2\n", NUMERIC_SCHEMA, True,
+     "row 2: column 'x': non-finite value", False),
+    ("extra-trailing-fields", "x,y\n1,2,extra\n3,4,5,6\n",
+     NUMERIC_SCHEMA, True, None, True),
+    ("short-row", "c,x,y\na,1,2\nb,2\n", LABEL_SCHEMA, True,
+     "row 3: column 'y': missing field", False),
+    ("long-label", "c,x,y\n" + "a" * 40 + ",1,2\n", LABEL_SCHEMA, True,
+     None, False),
+    ("integer-temporal", "t,y\n2,1\n4.0,1\n", TEMPORAL_SCHEMA, True, None,
+     True),
+    ("non-integer-temporal", "t,y\n2,1\n2.5,1\n", TEMPORAL_SCHEMA, True,
+     "row 3: column 't': temporal values must be integers", False),
+    ("temporal-not-divisible", "t,y\n2,1\n3,1\n", TEMPORAL_SCHEMA, True,
+     "row 3: column 't': time 3 is not divisible by tau=2", False),
+    ("header-only", "x,y\n", NUMERIC_SCHEMA, True, "no data rows", False),
+    ("empty-file", "", NUMERIC_SCHEMA, True, "empty file", False),
+    ("no-response-column", "x\n1\n2\n", NUMERIC_SCHEMA, False, None, True),
+]
+
+
+def outcome(parse):
+    try:
+        return parse(), None
+    except ValueError as error:
+        return None, str(error)
+
+
+class TestIngestPaths:
+    """numpy's reader and the per-row parser give the same result."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2048])
+    @pytest.mark.parametrize(
+        "text, schema, require_response, error, fast",
+        [case[1:] for case in INGEST_CASES],
+        ids=[case[0] for case in INGEST_CASES],
+    )
+    def test_same_result(self, tmp_path, monkeypatch, chunk_rows, text,
+                         schema, require_response, error, fast):
+        monkeypatch.setattr(fxam.evaluation, "_FAST_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        expected, expected_error = outcome(
+            lambda: fxam.evaluation._ingest_rows(path, schema,
+                                                 require_response)
+        )
+        got, got_error = outcome(
+            lambda: ingest_csv(path, schema, require_response)
+        )
+        taken = fxam.evaluation._ingest_fast(path, schema, require_response)
+        assert (taken is not None) == fast
+        if error is None:
+            assert expected_error is None and got_error is None
+            assert_same_dataset(got, expected)
+            if taken is not None:
+                assert_same_dataset(taken, expected)
+        else:
+            assert error in expected_error
+            assert got_error == expected_error
+
+    def test_plain_file_skips_row_parser(self, tmp_path, monkeypatch):
+        def row_parser(*args):
+            raise AssertionError("per-row parser called")
+
+        monkeypatch.setattr(fxam.evaluation, "_ingest_rows", row_parser)
+        path = tmp_path / "data.csv"
+        write_lines(path, ["c,x,y", "a,1.5,2.0", "b,2.5,3.0"])
+        dataset = ingest_csv(path, LABEL_SCHEMA)
+        assert dataset.categorical["c"].dtype == np.dtype("<U1")
+        np.testing.assert_array_equal(dataset.numerical["x"], [1.5, 2.5])
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+labels = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=40,
+)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 12))
+    column = st.lists(finite_floats, min_size=n, max_size=n)
+    numerical = {
+        f"x{i}": np.array(draw(column), dtype=float)
+        for i in range(draw(st.integers(0, 2)))
+    }
+    categorical = {
+        f"c{i}": np.array(draw(st.lists(labels, min_size=n, max_size=n)))
+        for i in range(draw(st.integers(0, 2)))
+    }
+    tau = draw(st.integers(1, 5))
+    temporal = {}
+    if draw(st.booleans()):
+        ticks = st.lists(st.integers(-10**9, 10**9), min_size=n, max_size=n)
+        temporal["t"] = np.array(draw(ticks), dtype=np.int64) * tau
+    assume(numerical or categorical or temporal)
+    dataset = Dataset(
+        response=np.array(draw(column), dtype=float),
+        numerical=numerical,
+        categorical=categorical,
+        temporal=temporal,
+    )
+    return dataset, tau
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(datasets())
+    def test_write_then_ingest_is_bit_faithful(self, case):
+        dataset, tau = case
+        rules = {"t": TemporalRule(period=2, tau=tau)}
+        schema = dataset_schema(dataset, rules)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "data.csv")
+            write_csv(dataset, path)
+            loaded = ingest_csv(path, schema)
+        assert_same_dataset(loaded, dataset)
 
 
 class TestKfoldSplit:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,26 @@ class TestSerialization:
         np.testing.assert_array_equal(
             predict_batch(clone, columns), predict_batch(model, columns)
         )
+
+    def test_payload_is_compact_json(self, trained):
+        _, model = trained
+        payload = serialize(model)
+        doc = json.loads(payload)
+        assert payload == json.dumps(doc, separators=(",", ":")).encode()
+
+    def test_indented_payload_predicts_identically(self, trained):
+        # model files written with json.dumps(doc, indent=1) stay readable
+        dataset, model = trained
+        indented = json.dumps(json.loads(serialize(model)), indent=1)
+        clone = deserialize(indented.encode("utf-8"))
+        columns = {}
+        for mapping in (dataset.numerical, dataset.categorical,
+                        dataset.temporal):
+            columns.update(mapping)
+        expected = predict_batch(model, columns)
+        got = predict_batch(clone, columns)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
     def test_empty_categorical_model_round_trips(self):
         model = FxamModel(

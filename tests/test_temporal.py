@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,8 @@ from fxam.smoothers import (
     fast_kernel_smooth,
     penalized_smooth,
 )
-from fxam.temporal import (
-    DecomposeConfig,
-    build_smoothers,
-    decompose,
-    evaluate_temporal,
-)
+from fxam.model import ShapeCurve, TemporalCurves
+from fxam.temporal import DecomposeConfig, build_smoothers, decompose
 from fxam.training import TemporalRule, TrainConfig, tsi_train
 
 
@@ -236,9 +234,24 @@ class TestPrebuiltSmoothers:
         assert len(builds) == period + 1
 
 
+def temporal_curves(components, partition):
+    """The deployable curves that training builds from the components."""
+    times = components.times.astype(float)
+    return TemporalCurves(
+        tau=partition.tau,
+        period=partition.period,
+        trend=ShapeCurve(times, components.trend),
+        seasonal_phases=tuple(
+            ShapeCurve(times[idx], components.seasonal[idx])
+            for idx in partition.phase_sets
+        ),
+    )
+
+
 class TestEvaluateTemporal:
+    """``TemporalCurves.contribution`` on decomposed components."""
+
     def setup_method(self):
-        rng = np.random.default_rng(2)
         times = np.repeat(np.arange(0, 40), 2)
         values = 0.1 * times + np.cos(2 * np.pi * times / 4)
         self.series, self.partition = make_series(times, values)
@@ -246,50 +259,51 @@ class TestEvaluateTemporal:
             self.series, self.partition, self.series.values,
             DecomposeConfig(trend_penalty=200.0, seasonal_penalty=200.0),
         )
+        self.curves = temporal_curves(self.components, self.partition)
 
     def test_observed_point_is_exact(self):
         t = int(self.series.times[5])
-        trend, seasonal = evaluate_temporal(
-            self.components, self.partition, t
+        assert self.curves.contribution(t) == pytest.approx(
+            self.components.trend[5] + self.components.seasonal[5]
         )
-        assert trend == pytest.approx(self.components.trend[5])
-        assert seasonal == pytest.approx(self.components.seasonal[5])
 
     def test_clamped_beyond_range(self):
-        trend, seasonal = evaluate_temporal(
-            self.components, self.partition, 4000
-        )
-        assert trend == pytest.approx(self.components.trend[-1])
         phase = (4000 // 1) % 4
         idx = self.partition.phase_sets[phase]
-        assert seasonal == pytest.approx(self.components.seasonal[idx][-1])
+        assert self.curves.contribution(4000) == pytest.approx(
+            self.components.trend[-1] + self.components.seasonal[idx][-1]
+        )
 
     def test_interpolates_within_phase(self):
-        # time 41 is phase 1; its neighbors in that phase are 37 and 41...
-        # pick a time between two observed phase members instead
-        idx = self.partition.phase_sets[1]
-        times = self.series.times[idx]
-        mid = int((times[0] + times[1]) // 2)
-        # ensure mid is in phase 1 only when aligned; use exact midpoint in
-        # time with matching phase by interpolating manually
-        trend, seasonal = evaluate_temporal(
-            self.components, self.partition, int(times[0])
+        # phase 1 of period 4 is observed at times 1 and 9 only; time 5
+        # lies halfway between them on both the trend and that phase
+        series, partition = make_series(
+            np.array([0, 1, 9, 10]), np.zeros(4), period=4
         )
-        assert seasonal == pytest.approx(
-            float(self.components.seasonal[idx][0])
+        components = decompose(series, partition, series.values)
+        components = replace(
+            components,
+            trend=np.array([0.0, 1.0, 9.0, 10.0]),
+            seasonal=np.array([0.0, 2.0, 4.0, 0.0]),
         )
+        curves = temporal_curves(components, partition)
+        assert curves.contribution(5) == pytest.approx(5.0 + 3.0)
 
     def test_non_divisible_time_rejected(self):
         series, partition = make_series(
             np.array([0, 2, 4, 6]), np.zeros(4), tau=2, period=2
         )
         components = decompose(series, partition, series.values)
+        curves = temporal_curves(components, partition)
         with pytest.raises(ValueError, match="divisible"):
-            evaluate_temporal(components, partition, 3)
+            curves.contribution(3)
 
     def test_empty_phase_contributes_zero(self):
         times = np.array([0, 1, 3, 4])
         series, partition = make_series(times, np.ones(4))
         components = decompose(series, partition, series.values)
-        _, seasonal = evaluate_temporal(components, partition, 2)
-        assert seasonal == 0.0
+        curves = temporal_curves(components, partition)
+        assert curves.seasonal_phases[2].is_empty
+        assert curves.contribution(2) == pytest.approx(
+            float(np.interp(2.0, times, components.trend))
+        )
