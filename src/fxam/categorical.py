@@ -2,9 +2,12 @@
 
 All categorical features share one weight vector over the homogeneous
 label set.  The ridge system is assembled once from the sparse q-hot
-rows and solved with Nesterov-accelerated gradient descent, with the
-step size taken from the dominant Gram eigenvalue found by power
-iteration.  A dense direct solve is kept as the test oracle.
+rows.  Training solves it exactly, by a Cholesky factor built once per
+fit, while the system has at most ``CLOSED_FORM_LIMIT`` unknowns; above
+that it uses Nesterov-accelerated gradient descent, with the step size
+taken from the dominant Gram eigenvalue found by power iteration.  A
+dense LU solve (``closed_form_ridge``) is kept as the independent test
+oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import scipy.sparse as sp
 
 # below this cardinality a dense Gram is cheaper than sparse bookkeeping
 DENSE_GRAM_LIMIT = 64
+# largest system solved densely: by the oracle, and by training's Cholesky
 CLOSED_FORM_LIMIT = 1000
 
 

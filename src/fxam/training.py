@@ -1,13 +1,15 @@
 """Three-stage training for the additive model.
 
 One cycle runs backfitting over the numerical features to partial
-convergence (Stage 1), a joint accelerated ridge solve for every
-categorical weight at once (Stage 2), and seasonal-trend partial learning
-per temporal feature (Stage 3); cycles repeat until the penalized
-objective stalls.  With the penalized backend every stage is an exact
-block minimization, so the objective is non-increasing and the fixed
-point solves the model's normal equations; a dense direct solver of that
-same system is included as the optimality oracle.
+convergence (Stage 1), a joint ridge solve for every categorical weight
+at once (Stage 2: an exact Cholesky solve against a factor built once per
+fit up to ``CLOSED_FORM_LIMIT`` pooled labels, accelerated gradient
+above), and seasonal-trend partial learning per temporal feature
+(Stage 3); cycles repeat until the penalized objective stalls.  With the
+penalized backend every stage is an exact block minimization, so the
+objective is non-increasing and the fixed point solves the model's
+normal equations; a dense direct solver of that same system is included
+as the optimality oracle.
 
 Two Stage 1 accelerations are available: intelligent sampling (shape
 curves initialized from a subsample whose size comes from a pilot-based
@@ -28,6 +30,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded
 
 from .categorical import (
+    CLOSED_FORM_LIMIT,
     ConvergenceError,
     RidgeSystem,
     gram_assemble,
@@ -92,7 +95,8 @@ class TrainConfig:
     max_inner_iterations: int = 50
     outer_tol: float = 1e-6            # relative objective decrease per cycle
     max_cycles: int = 50
-    solver_tol: float = 1e-8           # categorical gradient residual
+    solver_tol: float = 1e-8           # categorical gradient residual,
+                                       # above CLOSED_FORM_LIMIT labels
     sampling: bool = True
     sampling_gamma: float = 1.0
     pilot_size: int = 10_000
@@ -247,40 +251,51 @@ class TrainingProblem:
             for name, col in dataset.numerical.items()
         }
         self.encoding = build_homogeneous_encoding(dataset)
-        if self.encoding.cardinality:
-            seeded = gram_assemble(
+        self.gram = None
+        self.gram_joint = None
+        self.gram_joint_factor = None
+        self.gram_joint_lambda_max = None
+        c = self.encoding.cardinality
+        if c:
+            gram = gram_assemble(
                 self.encoding, np.zeros(self.n), config.categorical_ridge
-            )
-            self.gram = seeded.gram
+            ).gram
             # the intercept is solved jointly with the categorical block
             # (the two share the constant direction, and alternating them
             # converges at the shrinking factor of that direction, which
             # approaches 1 as records grow); the augmented system keeps
             # the intercept unpenalized
             counts = self._label_counts()
-            if sp.issparse(self.gram):
-                self.gram_joint = sp.bmat(
-                    [
-                        [np.array([[float(self.n)]]), counts[None, :]],
-                        [counts[:, None], self.gram],
-                    ],
-                    format="csr",
-                )
-            else:
-                c = self.encoding.cardinality
-                joint = np.zeros((c + 1, c + 1))
+            if c + 1 <= CLOSED_FORM_LIMIT:
+                # [1 Z]'[1 Z] + diag(0, ridge*I) is positive definite for
+                # n > 0, so one Cholesky factor serves every cycle
+                joint = np.empty((c + 1, c + 1))
                 joint[0, 0] = float(self.n)
                 joint[0, 1:] = counts
                 joint[1:, 0] = counts
-                joint[1:, 1:] = self.gram
+                joint[1:, 1:] = gram.toarray() if sp.issparse(gram) else gram
+                self.gram = joint[1:, 1:]
                 self.gram_joint = joint
-            self.gram_joint_lambda_max = power_iteration_max_eig(
-                self.gram_joint
-            )
-        else:
-            self.gram = None
-            self.gram_joint = None
-            self.gram_joint_lambda_max = None
+                try:
+                    self.gram_joint_factor = sla.cho_factor(joint, lower=True)
+                except np.linalg.LinAlgError as exc:
+                    raise ConvergenceError(
+                        "joint categorical Gram is not positive definite "
+                        f"with categorical_ridge={config.categorical_ridge}: "
+                        f"{exc}"
+                    ) from exc
+            else:
+                self.gram = gram
+                self.gram_joint = sp.bmat(
+                    [
+                        [np.array([[float(self.n)]]), counts[None, :]],
+                        [counts[:, None], gram],
+                    ],
+                    format="csr",
+                )
+                self.gram_joint_lambda_max = power_iteration_max_eig(
+                    self.gram_joint
+                )
         self.temporal = {}
         for name, times in dataset.temporal.items():
             rule = config.temporal_rules.get(name)
@@ -298,11 +313,6 @@ class TrainingProblem:
         return np.bincount(
             rows.ravel(), minlength=self.encoding.cardinality
         ).astype(float)
-
-    def ridge_system(self, rhs):
-        return RidgeSystem(
-            gram=self.gram, rhs=rhs, ridge=self.config.categorical_ridge
-        )
 
     def joint_ridge_system(self, target):
         """Augmented (intercept, weights) system for a record-space target."""
@@ -526,15 +536,19 @@ def stage2_categorical(problem, state, config=None):
     """Solve every categorical weight jointly against the current residual.
 
     The intercept rides along as an unpenalized coordinate of the same
-    accelerated solve: it shares the constant direction with the pooled
-    categorical block, and solving the pair together replaces a slow
-    two-block alternation with one exact minimization.  At stage exit the
-    weights satisfy the plain ridge equation for the updated intercept's
-    partial residual.
+    solve: it shares the constant direction with the pooled categorical
+    block, and solving the pair together replaces a slow two-block
+    alternation with one exact minimization.  At stage exit the weights
+    satisfy the plain ridge equation for the updated intercept's partial
+    residual.
 
-    Warm-starts from the previous solution; if the solver's answer is
-    (numerically) worse than the warm start on the block objective, the
-    warm start is kept, so the stage never ascends.
+    Up to ``CLOSED_FORM_LIMIT`` pooled labels (intercept included) the
+    solve is one pair of triangular solves against the joint Gram's
+    Cholesky factor, built once per fit by :class:`TrainingProblem`.
+    Above that, accelerated gradient warm-starts from the previous
+    solution and stops at ``solver_tol``.  Either way, if the answer is
+    (numerically) worse than the previous solution on the block
+    objective, the previous solution is kept, so the stage never ascends.
     """
     config = config or problem.config
     if problem.encoding.cardinality == 0:
@@ -542,11 +556,13 @@ def stage2_categorical(problem, state, config=None):
     target = state.residual + state.categorical_fit + state.intercept
     system = problem.joint_ridge_system(target)
     warm = np.concatenate([[state.intercept], state.beta])
-    result = nga_ridge_solve(
-        system, tol=config.solver_tol, beta0=warm,
-        lam_max=problem.gram_joint_lambda_max,
-    )
-    solution = result.beta
+    if problem.gram_joint_factor is not None:
+        solution = sla.cho_solve(problem.gram_joint_factor, system.rhs)
+    else:
+        solution = nga_ridge_solve(
+            system, tol=config.solver_tol, beta0=warm,
+            lam_max=problem.gram_joint_lambda_max,
+        ).beta
     if ridge_objective(system, solution) > ridge_objective(system, warm):
         solution = warm
     intercept = float(solution[0])

@@ -69,6 +69,24 @@ class TestTrainPredict:
         assert len(rows) == 1501
         float(rows[1])
 
+    def test_failed_categorical_factor_exits_4(self, pipeline, tmp_path,
+                                               monkeypatch, capsys):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        doc = json.loads(read_text(pipeline["schema"]))
+        assert "categorical" in {c["kind"] for c in doc["columns"]}
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+        rc = main([
+            "train", "--data", pipeline["data"], "--schema",
+            pipeline["schema"], "--out", str(tmp_path / "model.json"),
+            "--backend", "fast-kernel", "--no-sampling",
+        ])
+        assert rc == 4
+        assert "categorical_ridge=" in capsys.readouterr().err
+
     def test_config_file_with_flag_precedence(self, pipeline, tmp_path):
         config_path = tmp_path / "train.json"
         config_path.write_text(json.dumps({

@@ -3,6 +3,8 @@ import pytest
 
 from conftest import make_toy_dataset, tight_toy_config
 
+import fxam.training
+from fxam.categorical import ConvergenceError, RidgeSystem, closed_form_ridge
 from fxam.data import Dataset
 from fxam.model import predict_batch
 from fxam.smoothers import second_difference_matrix, smoother_matrix
@@ -274,6 +276,135 @@ class TestStage2:
         target = ds.response - state.categorical_fit
         assert state.intercept == pytest.approx(float(target.mean()),
                                                 abs=1e-9)
+
+
+def categoricals_dataset(seed, cardinalities=(3, 5, 8), n=40_000,
+                         noise=0.3):
+    """Three numerical columns and one categorical per cardinality.
+
+    Returns the dataset and each categorical feature's true weights.
+    """
+    rng = np.random.default_rng(seed)
+    numerical = {f"x{j}": rng.uniform(0, 10, n) for j in range(3)}
+    y = (np.sin(numerical["x0"]) + 0.1 * numerical["x1"]
+         - 0.005 * numerical["x2"] ** 1.5)
+    categorical, weights = {}, {}
+    for m, cardinality in enumerate(cardinalities):
+        name = "abcdefgh"[m]
+        w = rng.uniform(-1, 1, cardinality)
+        codes = rng.integers(0, cardinality, n)
+        values = np.array([f"{name}{k}" for k in range(cardinality)])
+        categorical[name] = values[codes]
+        weights[name] = dict(zip(values, w))
+        y = y + w[codes]
+    y = y + rng.normal(0, noise, n)
+    return Dataset(response=y, numerical=numerical,
+                   categorical=categorical), weights
+
+
+def joint_gram(problem):
+    """[1 Z]'[1 Z] + diag(0, ridge*I) from a dense design matrix."""
+    rows = problem.encoding.row_indices
+    design = np.zeros((problem.n, problem.encoding.cardinality + 1))
+    design[:, 0] = 1.0
+    for column in rows.T:
+        design[np.arange(problem.n), column + 1] = 1.0
+    gram = design.T @ design
+    gram[1:, 1:] += problem.config.categorical_ridge * np.eye(
+        problem.encoding.cardinality
+    )
+    return gram
+
+
+class TestStage2Exact:
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_small_categoricals_fit_converges(self, seed):
+        # accelerated gradient stalled near residual 3e-4 on these seeds:
+        # only the ridge holds the direction that moves weight between
+        # two features, so the joint Gram's condition number is ~1e6
+        noise = 0.3
+        ds, weights = categoricals_dataset(seed, noise=noise)
+        model = tsi_train(ds, TrainConfig(backend="fast-kernel",
+                                          sampling_threshold=20_000))
+        assert model.converged
+        for name, truth in weights.items():
+            labels = list(truth)
+            fitted = np.array([model.betas[f"{name}={v}"] for v in labels])
+            true = np.array([truth[v] for v in labels])
+            # weights are identified up to a shift per feature; each
+            # label holds >= 5,000 records, so a contrast's standard
+            # error is below noise / 50
+            error = (fitted - fitted[0]) - (true - true[0])
+            assert np.max(np.abs(error)) < 0.25 * noise
+
+    @pytest.mark.parametrize("cardinalities", [(3, 4, 6), (40, 30, 20)])
+    def test_joint_normal_equations_hold(self, cardinalities):
+        ds, _ = categoricals_dataset(2, cardinalities, n=3000)
+        config = TrainConfig(backend="fast-kernel", temporal_rules={})
+        problem = TrainingProblem(ds, config)
+        state = stage1_backfit(problem, initial_state(problem), config)
+        state = stage2_categorical(problem, state, config)
+        target = state.residual + state.categorical_fit + state.intercept
+        rhs = problem.joint_ridge_system(target).rhs
+        gram = joint_gram(problem)
+        x = np.concatenate([[state.intercept], state.beta])
+        residual = np.max(np.abs(gram @ x - rhs))
+        assert residual <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
+        oracle = closed_form_ridge(
+            RidgeSystem(gram=gram, rhs=rhs, ridge=config.categorical_ridge)
+        )
+        np.testing.assert_allclose(x, oracle, rtol=0, atol=1e-8)
+
+    def test_factor_built_once_per_fit(self, monkeypatch):
+        factors, iterative = [], []
+        factor = fxam.training.sla.cho_factor
+        monkeypatch.setattr(
+            fxam.training.sla, "cho_factor",
+            lambda *a, **k: factors.append(1) or factor(*a, **k),
+        )
+        for name in ("nga_ridge_solve", "power_iteration_max_eig"):
+            inner = getattr(fxam.training, name)
+            monkeypatch.setattr(
+                fxam.training, name,
+                lambda *a, _inner=inner, **k: (
+                    iterative.append(1) or _inner(*a, **k)
+                ),
+            )
+        model = tsi_train(make_toy_dataset(1), tight_toy_config())
+        assert model.diagnostics["cycles"] >= 3
+        assert len(factors) == 1
+        assert not iterative
+
+    def test_iterative_path_agrees(self, monkeypatch):
+        ds = make_toy_dataset(2)
+        config = tight_toy_config()
+        direct = tsi_train(ds, config)
+        calls = []
+        inner = fxam.training.nga_ridge_solve
+        monkeypatch.setattr(
+            fxam.training, "nga_ridge_solve",
+            lambda *a, **k: calls.append(1) or inner(*a, **k),
+        )
+        monkeypatch.setattr(fxam.training, "CLOSED_FORM_LIMIT", 2)
+        iterative = tsi_train(ds, config)
+        assert len(calls) == iterative.diagnostics["cycles"]
+        assert iterative.intercept == pytest.approx(direct.intercept,
+                                                    abs=1e-6)
+        for label, weight in direct.betas.items():
+            assert iterative.betas[label] == pytest.approx(weight, abs=1e-6)
+        cols = columns_of(ds)
+        np.testing.assert_allclose(predict_batch(iterative, cols),
+                                   predict_batch(direct, cols),
+                                   rtol=0, atol=1e-6)
+
+    def test_factor_failure_is_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(fxam.training.sla, "cho_factor", fail)
+        with pytest.raises(ConvergenceError, match="categorical_ridge=0.5"):
+            TrainingProblem(make_toy_dataset(0),
+                            tight_toy_config(categorical_ridge=0.5))
 
 
 class TestStage3:
