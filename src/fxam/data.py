@@ -68,10 +68,16 @@ class Dataset:
                 raise ValueError(f"column '{name}': non-finite values")
         categorical = {}
         for name, col in self.categorical.items():
-            col = np.asarray(col)
-            categorical[name] = col
-            if col.shape != (n,):
+            labels = np.asarray(col)
+            categorical[name] = labels
+            if labels.shape != (n,):
                 raise ValueError(f"column '{name}': length mismatch")
+            bad = _nul_record(col)
+            if bad is not None:
+                raise ValueError(
+                    f"column '{name}': record {bad}: label contains a NUL "
+                    "character"
+                )
         temporal = {}
         for name, col in self.temporal.items():
             arr = np.asarray(col)
@@ -101,6 +107,31 @@ class Dataset:
         return (
             list(self.numerical) + list(self.categorical) + list(self.temporal)
         )
+
+
+def _nul_record(column):
+    """Index of the first label that holds a NUL character, or None.
+
+    A fixed-width numpy string drops trailing NULs, so such a label could
+    not round-trip through a CSV file.  Labels given as Python strings are
+    checked before numpy converts them.  A string array can only still
+    hold embedded NULs: numpy measures a string up to its last non-NUL
+    character, so a label with an embedded NUL is longer than its count
+    of nonzero code points.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind == "U":
+        if column.size == 0:
+            return None
+        codes = np.ascontiguousarray(column).view(np.uint32)
+        lengths = np.char.str_len(column)
+        if np.count_nonzero(codes) == int(lengths.sum()):
+            return None
+        codes = codes.reshape(column.size, -1)
+        hits = np.flatnonzero(np.count_nonzero(codes, axis=1) != lengths)
+    else:
+        hits = [i for i, label in enumerate(column)
+                if isinstance(label, str) and "\x00" in label]
+    return int(hits[0]) if len(hits) else None
 
 
 @dataclass(frozen=True)

@@ -326,7 +326,9 @@ def _ingest_rows(path, schema, require_response):
         elif col.kind == "categorical":
             pos = positions[col.name]
             try:
-                categorical[col.name] = np.array([row[pos] for row in rows])
+                # a list, so Dataset sees any trailing NUL before numpy
+                # drops it
+                categorical[col.name] = [row[pos] for row in rows]
             except IndexError:
                 bad = next(i for i, row in enumerate(rows) if len(row) <= pos)
                 raise short_row(bad, col.name) from None

@@ -8,11 +8,21 @@ and repeat until the components stop moving.
 The split between the two components is not identified along functions
 that are free for both smoothers: constants, and globally linear
 functions of time (linear in t is also linear within every phase grid).
-After the alternation converges, the seasonal component is therefore
-recentred to weighted mean zero and stripped of its weighted linear
-drift, with both folded into the trend.  Both smoothers reproduce
-constants and linears exactly, so this transfer leaves the fitted sum
-and both block equations untouched while making the components unique.
+Every sweep therefore recentres the seasonal component to weighted mean
+zero and strips its weighted linear drift, folding both into the trend.
+Both smoothers reproduce constants and linears exactly, so this transfer
+leaves the fitted sum and both block equations untouched; it makes the
+components unique, and without it a constant drifts between them sweep
+after sweep and the iteration never settles.
+
+The projected sweep is a fixed-point map on the seasonal component, and
+it is Anderson-accelerated (Walker & Ni 2011): each iterate combines the
+last few map outputs so as to cancel their fixed-point residuals in the
+weighted least-squares sense.  The iteration stops when both projected
+components move less than the tolerance.  On the penalized backend an
+accelerated iterate is kept only if the local objective does not rise,
+so every accepted sweep descends; on the kernel backend the history
+restarts whenever the residual grows.
 """
 
 from __future__ import annotations
@@ -30,6 +40,10 @@ from .smoothers import (
 )
 
 
+# How many past sweep-map differences an Anderson step combines.
+ANDERSON_DEPTH = 5
+
+
 @dataclass(frozen=True)
 class DecomposeConfig:
     """Knobs for one temporal feature's decomposition."""
@@ -39,8 +53,10 @@ class DecomposeConfig:
     seasonal_penalty: float = 1.0
     bandwidth_factor: float = 0.5     # kernel backend bandwidth rule
     tol_factor: float = 1e-6          # times sd of the residual target
+    # cap on sweep-map evaluations, rejected accelerated steps included;
+    # a call that reaches it returns components flagged non-converged
     max_iterations: int = 50
-    track_objective: bool = False     # record the local objective per sweep
+    track_objective: bool = False     # local objective per accepted sweep
 
 
 @dataclass
@@ -50,13 +66,16 @@ class TemporalComponents:
     The merged seasonal at a point always equals its phase curve's value
     there; ``seasonal_by_phase`` just views it through the partition.
     The seasonal component has weighted mean zero and no weighted linear
-    drift in time (both live in the trend).
+    drift in time (both live in the trend).  ``iterations`` counts
+    sweep-map evaluations; ``converged`` says whether both components
+    settled within the tolerance before the cap.
     """
 
     times: np.ndarray
     trend: np.ndarray
     seasonal: np.ndarray
     iterations: int = 0
+    converged: bool = False
     objective_history: tuple = field(default_factory=tuple)
 
     def seasonal_by_phase(self, partition):
@@ -130,7 +149,7 @@ def decompose(series, partition, residual, config=None, initial=None,
     -------
     TemporalComponents
         With ``objective_history`` tracking the local penalized objective
-        per sweep (penalized backend only).
+        per accepted sweep (penalized backend only).
 
     Notes
     -----
@@ -149,10 +168,34 @@ def decompose(series, partition, residual, config=None, initial=None,
 
     times = series.times.astype(float)
     weights = series.weights.astype(float)
-    total_weight = weights.sum()
+    sqrt_weights = np.sqrt(weights)
+    centered = times - np.average(times, weights=weights)
+    scatter = float(np.sum(weights * centered * centered))
 
     if smoothers is None:
         smoothers = build_smoothers(series, partition, config)
+
+    def sweep(seasonal):
+        """One alternation from a seasonal iterate, projected: the
+        seasonal's weighted mean and linear drift move into the trend,
+        which leaves the fit and both penalties unchanged."""
+        trend = smoothers.trend(residual - seasonal)
+        seasonal = seasonal.copy()
+        for idx, fit in zip(partition.phase_sets, smoothers.phases):
+            if idx.size:
+                seasonal[idx] = fit(residual[idx] - trend[idx])
+        mean = float(np.average(seasonal, weights=weights))
+        seasonal -= mean
+        trend += mean
+        if scatter > 0.0:
+            slope = float(np.sum(weights * centered * seasonal)) / scatter
+            seasonal -= slope * centered
+            trend += slope * centered
+        return trend, seasonal
+
+    def objective(trend, seasonal):
+        return _local_objective(series, partition, residual, trend,
+                                seasonal, config)
 
     if initial is not None:
         trend = np.asarray(initial.trend, dtype=float).copy()
@@ -164,53 +207,71 @@ def decompose(series, partition, residual, config=None, initial=None,
     scale = float(np.sqrt(np.average((residual - residual.mean()) ** 2)))
     tol = config.tol_factor * max(scale, 1e-12)
 
-    track = config.track_objective and config.backend == "penalized"
-    history = []
-    if track:
-        history.append(
-            _local_objective(series, partition, residual, trend, seasonal,
-                             config)
-        )
+    # the penalized backend accepts an accelerated iterate only if the
+    # local objective does not rise, so every accepted state descends
+    guarded = config.backend == "penalized"
+    track = config.track_objective and guarded
+    value = objective(trend, seasonal) if guarded else None
+    history = [value] if track else []
 
+    # Anderson acceleration (type II) on the seasonal iterate: the next
+    # iterate combines the last map outputs with the weights that best
+    # cancel the matching fixed-point residuals f = g(x) - x
+    iterate = seasonal
+    f_diffs, g_diffs = [], []
+    last_f = last_g = None
+    converged = False
     iterations = 0
-    for sweep in range(1, config.max_iterations + 1):
-        iterations = sweep
-        new_trend = smoothers.trend(residual - seasonal)
-        new_seasonal = seasonal.copy()
-        for idx, fit in zip(partition.phase_sets, smoothers.phases):
-            if idx.size == 0:
+    while iterations < config.max_iterations:
+        iterations += 1
+        new_trend, new_seasonal = sweep(iterate)
+        if guarded:
+            new_value = objective(new_trend, new_seasonal)
+            if f_diffs and new_value > value:
+                # an accelerated iterate that raised the objective:
+                # drop the history and take the plain step from the
+                # last accepted map output
+                f_diffs.clear()
+                g_diffs.clear()
+                iterate = last_g
                 continue
-            new_seasonal[idx] = fit(residual[idx] - new_trend[idx])
-        delta = max(
-            float(np.max(np.abs(new_trend - trend))),
-            float(np.max(np.abs(new_seasonal - seasonal))),
-        )
+            value = new_value
+            if track:
+                history.append(value)
+        f = new_seasonal - iterate
+        moved = max(float(np.max(np.abs(new_trend - trend))),
+                    float(np.max(np.abs(f))))
         trend, seasonal = new_trend, new_seasonal
-        if track:
-            history.append(
-                _local_objective(series, partition, residual, trend,
-                                 seasonal, config)
-            )
-        if delta < tol:
+        if moved < tol:
+            converged = True
             break
-
-    # move the seasonal mean and linear drift into the trend; the fit and
-    # both penalties are unchanged, so the block equations still hold
-    mean = float(np.average(seasonal, weights=weights)) if total_weight else 0.0
-    seasonal = seasonal - mean
-    trend = trend + mean
-    centered = times - np.average(times, weights=weights)
-    scatter = float(np.sum(weights * centered * centered))
-    if scatter > 0.0:
-        slope = float(np.sum(weights * centered * seasonal)) / scatter
-        seasonal = seasonal - slope * centered
-        trend = trend + slope * centered
+        if last_f is not None:
+            if not guarded and (np.linalg.norm(sqrt_weights * f)
+                                > np.linalg.norm(sqrt_weights * last_f)):
+                # the residual grew: restart the history from here
+                f_diffs.clear()
+                g_diffs.clear()
+            else:
+                f_diffs.append(f - last_f)
+                g_diffs.append(new_seasonal - last_g)
+                if len(f_diffs) > ANDERSON_DEPTH:
+                    del f_diffs[0], g_diffs[0]
+        last_f, last_g = f, new_seasonal
+        if f_diffs:
+            gamma = np.linalg.lstsq(
+                np.column_stack(f_diffs) * sqrt_weights[:, None],
+                sqrt_weights * f, rcond=None,
+            )[0]
+            iterate = new_seasonal - np.column_stack(g_diffs) @ gamma
+        else:
+            iterate = new_seasonal
 
     return TemporalComponents(
         times=series.times.copy(),
         trend=trend,
         seasonal=seasonal,
         iterations=iterations,
+        converged=converged,
         objective_history=tuple(history),
     )
 

@@ -166,6 +166,8 @@ class TrainState:
     objective_history: list = field(default_factory=list)
     stage_objectives: list = field(default_factory=list)  # (cycle, stage, L)
     stage1_passes: list = field(default_factory=list)     # per cycle
+    stage3_sweeps: list = field(default_factory=list)     # per decompose
+    stage3_converged: list = field(default_factory=list)  # per decompose
 
     def fitted(self, y):
         return y - self.residual
@@ -583,8 +585,9 @@ def stage3_temporal(problem, state, config=None):
     """Partial learning per temporal feature, in declaration order.
 
     The record-space partial residual is compressed to the feature's time
-    grid (weighted means), decomposed to partial convergence (warm-started
-    from the previous components), and expanded back.  The trend's
+    grid (weighted means), decomposed (warm-started from the previous
+    components, at most ``max_inner_iterations`` sweeps; each call's sweep
+    count and convergence flag are recorded), and expanded back.  The trend's
     weighted mean is folded into the intercept, which together with the
     decomposition's seasonal conventions makes the fixed point unique.
     """
@@ -599,6 +602,8 @@ def stage3_temporal(problem, state, config=None):
             initial=state.temporal_components.get(name),
             smoothers=cache.smoothers,
         )
+        state.stage3_sweeps.append(components.iterations)
+        state.stage3_converged.append(components.converged)
         mean = float(np.average(components.trend, weights=cache.weights))
         components.trend = components.trend - mean
         new_trend = components.trend[cache.series.back_map]
@@ -959,6 +964,13 @@ def _build_model(problem, state, config, timings, sampling_info):
     }
     if sampling_info:
         diagnostics["sampling"] = sampling_info
+    if problem.temporal:
+        # one entry per decompose call, features in declaration order
+        # within each cycle
+        diagnostics["stage3"] = {
+            "sweeps": [int(v) for v in state.stage3_sweeps],
+            "converged": [bool(v) for v in state.stage3_converged],
+        }
     schema = {
         "numerical": list(problem.dataset.numerical),
         "categorical": list(problem.dataset.categorical),

@@ -209,6 +209,23 @@ class TestExitCodes:
         assert rc == 3
         assert "row 3: column 'y'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["b\x00", "b\x00c"])
+    def test_nul_label_is_data_error(self, tmp_path, capsys, label):
+        data = tmp_path / "nul.csv"
+        data.write_text(f"c,y\na,1.0\n{label},2.0\na,3.0\n",
+                        encoding="utf-8")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": "c", "kind": "categorical"},
+            {"name": "y", "kind": "response"},
+        ]}))
+        rc = main([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 3
+        assert "column 'c': record 1" in capsys.readouterr().err
+
     def test_bad_schema_is_data_error(self, pipeline, tmp_path):
         bad = tmp_path / "schema.json"
         bad.write_text(json.dumps({"columns": [

@@ -53,6 +53,23 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(response=np.zeros(0))
 
+    @pytest.mark.parametrize("labels, record", [
+        (["a", "b\x00"], 1),               # trailing, numpy would drop it
+        (["a\x00b", "c"], 0),
+        (np.array(["a", "b", "c\x00d"]), 2),  # embedded survives in <U3
+        (np.array(["\x00", "b"], dtype=object), 0),
+    ])
+    def test_nul_label_rejected(self, labels, record):
+        with pytest.raises(ValueError,
+                           match=f"column 'c': record {record}: .*NUL"):
+            Dataset(response=np.zeros(len(labels)),
+                    categorical={"c": labels})
+
+    def test_labels_without_nul_accepted(self):
+        wide = np.array(["a", "bcd"], dtype="<U8")
+        dataset = Dataset(response=np.zeros(2), categorical={"c": wide})
+        assert dataset.categorical["c"].tolist() == ["a", "bcd"]
+
 
 class TestHomogeneousEncoding:
     def test_two_features_disjoint_indices(self):

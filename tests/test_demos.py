@@ -24,3 +24,9 @@ def test_joint_categorical_demo():
     done = run_demo("02_joint_categorical.py")
     assert done.returncode == 0, done.stderr
     assert "Cholesky: factor once" in done.stdout
+
+
+def test_seasonal_trend_demo():
+    done = run_demo("03_seasonal_trend.py")
+    assert done.returncode == 0, done.stderr
+    assert "trend slope" in done.stdout

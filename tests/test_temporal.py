@@ -10,7 +10,9 @@ from fxam.smoothers import (
     KernelSmootherPlan,
     default_bandwidth,
     fast_kernel_smooth,
+    naive_kernel_smooth,
     penalized_smooth,
+    second_difference_matrix,
 )
 from fxam.model import ShapeCurve, TemporalCurves
 from fxam.temporal import DecomposeConfig, build_smoothers, decompose
@@ -232,6 +234,149 @@ class TestPrebuiltSmoothers:
         tsi_train(dataset, config)
         assert len(decomposes) >= 2
         assert len(builds) == period + 1
+
+
+HOURS = 17_520  # two years of hourly time points
+DAY = 24
+
+
+def _hourly_records(seed=0):
+    """80k records on about 17.3k distinct hours: a slow trend, a daily
+    profile and unit noise."""
+    rng = np.random.default_rng(seed)
+    times = rng.integers(0, HOURS, 80_000)
+    hour = np.arange(DAY)
+    profile = (1.5 * np.sin(2 * np.pi * hour / DAY)
+               + 0.5 * np.cos(4 * np.pi * hour / DAY))
+    values = (2.0 * np.sin(2 * np.pi * times / HOURS) + 0.5 * times / HOURS
+              + profile[times % DAY] + rng.normal(0, 1, times.size))
+    return times, values
+
+
+@pytest.fixture(scope="module")
+def hourly():
+    times, values = _hourly_records()
+    return make_series(times, values, period=DAY)
+
+
+KERNEL = DecomposeConfig(backend="fast-kernel")
+
+
+class TestHourlySplit:
+    """The fast-kernel split of a long hourly series reaches its fixed
+    point, not merely the sweep cap."""
+
+    def test_default_converges_to_reference(self, hourly, monkeypatch):
+        series, partition = hourly
+        smoothers = build_smoothers(series, partition, KERNEL)
+        fast = decompose(series, partition, series.values, KERNEL,
+                         smoothers=smoothers)
+        assert fast.converged
+        assert fast.iterations <= 20
+        # plain projected sweeps, run to a far tighter tolerance
+        monkeypatch.setattr(fxam.temporal, "ANDERSON_DEPTH", 0)
+        tight = replace(KERNEL, tol_factor=1e-11, max_iterations=5000)
+        reference = decompose(series, partition, series.values, tight,
+                              smoothers=smoothers)
+        assert reference.converged
+        np.testing.assert_allclose(fast.trend, reference.trend,
+                                   rtol=0, atol=1e-5)
+        np.testing.assert_allclose(fast.seasonal, reference.seasonal,
+                                   rtol=0, atol=1e-5)
+
+    def test_plans_match_naive(self, hourly):
+        series, partition = hourly
+        smoothers = build_smoothers(series, partition, KERNEL)
+        knots = series.times.astype(float)
+        weights = series.weights.astype(float)
+        target = series.values
+        pieces = [(smoothers.trend, np.arange(knots.size))]
+        pieces += list(zip(smoothers.phases, partition.phase_sets))
+        for fit, idx in pieces:
+            x = knots[idx]
+            h = default_bandwidth(x, KERNEL.bandwidth_factor)
+            np.testing.assert_allclose(
+                fit(target[idx]),
+                naive_kernel_smooth(x, target[idx], h, weights[idx]),
+                rtol=1e-9, atol=1e-12,
+            )
+
+    def test_fit_records_stage3_calls(self):
+        times, values = _hourly_records()
+        dataset = Dataset(response=values, temporal={"hour": times})
+        config = TrainConfig(
+            backend="fast-kernel",
+            temporal_rules={"hour": TemporalRule(period=DAY)},
+        )
+        model = tsi_train(dataset, config)
+        stage3 = model.diagnostics["stage3"]
+        assert len(stage3["sweeps"]) == model.diagnostics["cycles"]
+        assert len(stage3["converged"]) == model.diagnostics["cycles"]
+        assert all(stage3["converged"])
+        assert all(1 <= s <= config.max_inner_iterations
+                   for s in stage3["sweeps"])
+
+
+def bordered_fixed_point(series, partition, residual, config):
+    """Both block equations solved directly, with the seasonal's weighted
+    mean and linear drift held at zero (dense; small series only)."""
+    times = series.times.astype(float)
+    w = series.weights.astype(float)
+    n = times.size
+    d2 = second_difference_matrix(times)
+    trend_block = np.diag(w) + config.trend_penalty * d2.T @ d2
+    seasonal_block = np.diag(w)
+    for idx in partition.phase_sets:
+        d2 = second_difference_matrix(times[idx])
+        seasonal_block[np.ix_(idx, idx)] += \
+            config.seasonal_penalty * d2.T @ d2
+    centered = times - np.average(times, weights=w)
+    constraints = np.vstack([w, w * centered])
+    system = np.block([
+        [trend_block, np.diag(w), np.zeros((n, 2))],
+        [np.diag(w), seasonal_block, constraints.T],
+        [np.zeros((2, n)), constraints, np.zeros((2, 2))],
+    ])
+    rhs = np.concatenate([w * residual, w * residual, np.zeros(2)])
+    solution = np.linalg.solve(system, rhs)
+    return solution[:n], solution[n:2 * n]
+
+
+class TestAcceleratedPenalized:
+    def test_matches_direct_fixed_point(self):
+        times, values = _seasonal_series(31, 90, 6)
+        series, partition = make_series(times, values, period=6)
+        config = DecomposeConfig(trend_penalty=30.0, seasonal_penalty=10.0,
+                                 tol_factor=1e-10, max_iterations=5000,
+                                 track_objective=True)
+        components = decompose(series, partition, series.values, config)
+        assert components.converged
+        trend, seasonal = bordered_fixed_point(series, partition,
+                                               series.values, config)
+        # the split contracts slowly here (both smoothers pass smooth
+        # functions), so the error sits well above the step tolerance
+        np.testing.assert_allclose(components.trend, trend, atol=1e-6)
+        np.testing.assert_allclose(components.seasonal, seasonal, atol=1e-6)
+        history = np.array(components.objective_history)
+        assert np.all(np.diff(history) <= 1e-12 * history[0])
+
+    def test_rejected_steps_count_as_sweeps(self, monkeypatch):
+        # an objective that rises on every call rejects every accelerated
+        # iterate; each rejection still costs one sweep-map evaluation
+        times, values = _seasonal_series(37, 60, 5)
+        series, partition = make_series(times, values, period=5)
+        config = DecomposeConfig(trend_penalty=30.0, seasonal_penalty=10.0,
+                                 tol_factor=1e-14, max_iterations=12,
+                                 track_objective=True)
+        rising = iter(range(1_000))
+        monkeypatch.setattr(fxam.temporal, "_local_objective",
+                            lambda *args: float(next(rising)))
+        components = decompose(series, partition, series.values, config)
+        assert components.iterations == 12
+        assert not components.converged
+        # the initial state plus the accepted plain sweeps: the first two
+        # (no history yet), then every other one
+        assert len(components.objective_history) == 1 + 2 + 5
 
 
 def temporal_curves(components, partition):
