@@ -8,10 +8,7 @@ penalized least-squares optimum.
 """
 
 from .data import (
-    CategoricalEncoding,
-    CompressedSeries,
     Dataset,
-    PhasePartition,
     build_homogeneous_encoding,
     compress_time_points,
     partition_phases,
@@ -49,23 +46,18 @@ from .training import (
     TrainConfig,
     TrainingProblem,
     TrainState,
-    estimate_sample_size,
     initial_state,
     normal_equation_direct_solve,
     normal_equation_residuals,
     objective_value,
-    order_features,
-    pilot_estimates,
-    predictive_power,
     stage1_backfit,
     stage2_categorical,
     stage3_temporal,
     tsi_train,
 )
-from .synthetic import GroundTruth, SynthConfig, experiment_sweep_configs, generate
+from .synthetic import SynthConfig, experiment_sweep_configs, generate
 from .evaluation import (
     ColumnSpec,
-    EvalReport,
     SchemaFile,
     ingest_csv,
     kfold_split,
@@ -77,8 +69,8 @@ from .evaluation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CategoricalEncoding", "CompressedSeries", "Dataset", "PhasePartition",
-    "build_homogeneous_encoding", "compress_time_points", "partition_phases",
+    "Dataset", "build_homogeneous_encoding", "compress_time_points",
+    "partition_phases",
     "FxamModel", "ShapeCurve", "TemporalCurves", "deserialize",
     "evaluate_shape", "export_contributions", "predict", "predict_batch",
     "serialize",
@@ -88,11 +80,10 @@ __all__ = [
     "nga_ridge_solve", "power_iteration_max_eig",
     "DecomposeConfig", "TemporalComponents", "decompose",
     "TemporalRule", "TrainConfig", "TrainingProblem", "TrainState",
-    "estimate_sample_size", "initial_state", "normal_equation_direct_solve",
-    "normal_equation_residuals", "objective_value", "order_features",
-    "pilot_estimates", "predictive_power", "stage1_backfit",
+    "initial_state", "normal_equation_direct_solve",
+    "normal_equation_residuals", "objective_value", "stage1_backfit",
     "stage2_categorical", "stage3_temporal", "tsi_train",
-    "GroundTruth", "SynthConfig", "experiment_sweep_configs", "generate",
-    "ColumnSpec", "EvalReport", "SchemaFile", "ingest_csv", "kfold_split",
+    "SynthConfig", "experiment_sweep_configs", "generate",
+    "ColumnSpec", "SchemaFile", "ingest_csv", "kfold_split",
     "load_schema", "rmse", "run_experiment",
 ]

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -497,15 +495,6 @@ def temporal_as_numerical(dataset):
     )
 
 
-def fold_parallelism():
-    """Fold-level worker count, capped by the FXAM_THREADS variable."""
-    raw = os.environ.get("FXAM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(dataset, train_config, k=5, seed=0,
                    no_sampling=False, no_dynamic_ordering=False,
                    no_temporal_stage=False):
@@ -542,12 +531,7 @@ def run_experiment(dataset, train_config, k=5, seed=0,
         return FoldResult(fold=fold_id, rmse=error, train_seconds=seconds), \
             model.converged
 
-    workers = min(fold_parallelism(), k)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_fold, range(k)))
-    else:
-        outcomes = [run_fold(i) for i in range(k)]
+    outcomes = [run_fold(i) for i in range(k)]
 
     results = [fold for fold, _ in outcomes]
     converged = all(flag for _, flag in outcomes)

@@ -189,6 +189,9 @@ def _encode_floats(obj):
         return repr(obj)
     if isinstance(obj, (np.floating,)):
         return repr(float(obj))
+    # bool before int: bool is a subclass of int
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, np.ndarray):

@@ -292,8 +292,8 @@ def penalized_smooth(x, y, penalty, weights=None):
     recovers the weighted least-squares line.  Solved by a banded Cholesky
     factorization, O(n).
 
-    Knots must be strictly increasing; compress duplicates to weighted
-    points first (see :func:`compress_duplicate_knots`).
+    Knots must be strictly increasing; collapse tied knots to weighted
+    points first.
     """
     x, y, w = _check_inputs(x, y, weights)
     if penalty < 0:
@@ -304,19 +304,6 @@ def penalized_smooth(x, y, penalty, weights=None):
         raise ValueError("knots must be strictly increasing")
     factor = cholesky_banded(_penalized_bands(x, penalty, w), lower=False)
     return cho_solve_banded((factor, False), w * y)
-
-
-def compress_duplicate_knots(x, y, weights=None):
-    """Collapse tied knots to weighted points (means and summed weights).
-
-    Returns (knots, values, weights, inverse) with ``inverse`` mapping each
-    input position to its compressed knot.
-    """
-    x, y, w = _check_inputs(x, y, weights)
-    knots, inverse, _ = np.unique(x, return_inverse=True, return_counts=True)
-    wsum = np.bincount(inverse, weights=w, minlength=knots.size)
-    vals = np.bincount(inverse, weights=w * y, minlength=knots.size) / wsum
-    return knots, vals, wsum, inverse
 
 
 def smoother_matrix(backend, knots, parameter, weights=None,

@@ -64,7 +64,7 @@ class TemporalComponents:
     """Trend and merged seasonal values over the compressed time points.
 
     The merged seasonal at a point always equals its phase curve's value
-    there; ``seasonal_by_phase`` just views it through the partition.
+    there.
     The seasonal component has weighted mean zero and no weighted linear
     drift in time (both live in the trend).  ``iterations`` counts
     sweep-map evaluations; ``converged`` says whether both components
@@ -77,9 +77,6 @@ class TemporalComponents:
     iterations: int = 0
     converged: bool = False
     objective_history: tuple = field(default_factory=tuple)
-
-    def seasonal_by_phase(self, partition):
-        return tuple(self.seasonal[idx] for idx in partition.phase_sets)
 
 
 def _smoother_for(times, weights, penalty, config):

@@ -12,9 +12,11 @@ normal equations; a dense direct solver of that same system is included
 as the optimality oracle.
 
 Two Stage 1 accelerations are available: intelligent sampling (shape
-curves initialized from a subsample whose size comes from a pilot-based
-variation bound) and dynamic feature iteration (features smoothed in
-descending order of estimated predictive power).  Both change only the
+curves initialized from a subsample whose size
+:func:`estimate_sample_size` bounds from the summaries that
+:func:`pilot_estimates` takes in one batched sweep over a pilot
+subsample) and dynamic feature iteration (features smoothed in
+descending order of :func:`predictive_power`).  Both change only the
 path, not the fixed point.
 """
 
@@ -126,6 +128,8 @@ class TrainConfig:
             raise ValueError("categorical_ridge must be positive")
         if self.sampling_gamma <= 0:
             raise ValueError("sampling_gamma must be positive")
+        if self.pilot_size < 10:
+            raise ValueError("pilot_size must be at least 10")
         for rule in self.temporal_rules.values():
             if not isinstance(rule, TemporalRule):
                 raise ValueError("temporal_rules values must be TemporalRule")
@@ -137,7 +141,7 @@ class PilotEstimate:
 
     ``variance`` is the residual variance around the pilot curve,
     ``sup_squared`` the largest squared curve value, and ``max_slope`` the
-    steepest secant between consecutive knots.
+    steepest secant between neighbouring cells of the pilot grid.
     """
 
     variance: float
@@ -364,92 +368,21 @@ def initial_state(problem):
 
 # --- Stage 1: numerical backfitting ----------------------------------------
 
-def pilot_estimates(x, y, pilot_size, seed, backend="penalized",
-                    smoothness=1.0, bandwidth_factor=0.5, indices=None):
-    """Shape summaries from a small uniform subsample.
-
-    Fits the configured smoother on ``min(pilot_size, n)`` records and
-    reports residual variance, the largest squared curve value, and the
-    steepest knot-to-knot slope (zero for a constant feature).
-    ``indices`` short-circuits the subsample draw when the caller pilots
-    many features against one shared subsample.
-    """
-    if pilot_size < 10:
-        raise ValueError("pilot size must be at least 10")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    if indices is not None:
-        x, y = x[indices], y[indices]
-    elif n > pilot_size:
-        idx = np.random.default_rng(seed).choice(n, pilot_size, replace=False)
-        x, y = x[idx], y[idx]
-    knots, inverse, counts = np.unique(
-        x, return_inverse=True, return_counts=True
-    )
-    counts = counts.astype(float)
-    target = np.bincount(inverse, weights=y, minlength=knots.size) / counts
-    if backend == "penalized":
-        if knots.size > 2 and smoothness > 0:
-            factor = penalized_factor(knots, smoothness, counts)
-            curve = penalized_apply(factor, target, counts)
-        else:
-            curve = target
-    else:
-        h = default_bandwidth(x, bandwidth_factor)
-        plan = KernelSmootherPlan(knots, h, counts, dtype=np.float64)
-        curve = plan.smooth(target)
-    fit = curve[inverse]
-    variance = float(np.mean((y - fit) ** 2))
-    sup_squared = float(np.max(curve * curve))
-    if knots.size >= 2:
-        max_slope = float(np.max(np.abs(np.diff(curve) / np.diff(knots))))
-    else:
-        max_slope = 0.0
-    return PilotEstimate(variance=variance, sup_squared=sup_squared,
-                         max_slope=max_slope)
-
-
-def estimate_sample_size(pilots, gamma, floor):
-    """Initialization sample size from the pilot variation bound.
-
-    ``ceil(max_i gamma * (variance_i + sup_squared_i) * max_slope_i)``,
-    floored at the pilot size so the estimate never shrinks below what
-    was already affordable.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    worst = 0.0
-    for pilot in pilots:
-        worst = max(
-            worst,
-            gamma * (pilot.variance + pilot.sup_squared) * pilot.max_slope,
-        )
-    return int(max(floor, math.ceil(worst)))
-
-
-def predictive_power(x, residual, max_slope, support, bandwidth):
+def predictive_power(x_scatter, tss, cross, n, max_slope, bandwidth):
     """Ordering score: explained-variance gain minus a smoothing-bias term.
 
-    ``2 * TSS * r^2 / (n - 2) - (2 * max_slope * support * bandwidth)^2``
-    with r the Pearson correlation between the feature and the current
-    residual; r is defined as zero when either side has no variance.
+    ``2 * tss * r^2 / (n - 2) - (2 * max_slope * bandwidth)^2``, where
+    ``x_scatter`` is the feature's centered sum of squares, ``tss`` the
+    residual's, and ``cross`` the feature dotted with the centered
+    residual, so ``r^2 = cross^2 / (x_scatter * tss)`` is the squared
+    Pearson correlation; r is defined as zero when either side has no
+    variance.
     """
-    x = np.asarray(x, dtype=float)
-    residual = np.asarray(residual, dtype=float)
-    n = x.size
-    if n < 3:
-        raise ValueError("need at least 3 records")
-    rc = residual - residual.mean()
-    xc = x - x.mean()
-    tss = float(rc @ rc)
-    xvar = float(xc @ xc)
-    if tss == 0.0 or xvar == 0.0:
+    if tss == 0.0 or x_scatter == 0.0:
         r_sq = 0.0
     else:
-        r = float(xc @ rc) / math.sqrt(xvar * tss)
-        r_sq = r * r
-    bias = 2.0 * max_slope * support * bandwidth
+        r_sq = cross ** 2 / (x_scatter * tss)
+    bias = 2.0 * max_slope * bandwidth
     return 2.0 * tss * r_sq / (n - 2) - bias * bias
 
 
@@ -462,8 +395,9 @@ def order_features(powers):
 def _stage1_order(problem, state, config):
     """Feature order for the next pass; descending predictive power.
 
-    Inlines :func:`predictive_power` against cached per-feature scatter
-    so one ordering costs one dot product per feature.
+    Each feature's slope is its current curve's steepest knot-to-knot
+    secant; its scatter is cached, so one ordering costs one dot product
+    per feature.
     """
     names = list(problem.numerical)
     if not config.dynamic_ordering or len(names) < 2 or problem.n < 3:
@@ -471,7 +405,6 @@ def _stage1_order(problem, state, config):
     residual = state.residual
     centered = residual - residual.mean()
     tss = float(centered @ centered)
-    n = problem.n
     powers = np.empty(len(names))
     for i, name in enumerate(names):
         cache = problem.numerical[name]
@@ -482,13 +415,11 @@ def _stage1_order(problem, state, config):
             )))
         else:
             slope = 0.0
-        if tss == 0.0 or cache.x_scatter == 0.0:
-            r_sq = 0.0
-        else:
-            # sum(centered) == 0, so the plain dot is the centered one
-            r_sq = float(cache.x @ centered) ** 2 / (cache.x_scatter * tss)
-        bias = 2.0 * slope * cache.bandwidth
-        powers[i] = 2.0 * tss * r_sq / (n - 2) - bias * bias
+        # sum(centered) == 0, so the plain dot is the centered one
+        powers[i] = predictive_power(
+            cache.x_scatter, tss, float(cache.x @ centered), problem.n,
+            slope, cache.bandwidth,
+        )
     return [names[i] for i in order_features(powers)]
 
 
@@ -674,6 +605,7 @@ class _BatchedSampleSmoother:
 
     def __init__(self, problem, config, indices, bins=INIT_GRID_BINS):
         self.names = list(problem.numerical)
+        self.indices = indices
         self.n_sample = indices.size
         p = len(self.names)
         self.bins = bins
@@ -775,25 +707,65 @@ class _BatchedSampleSmoother:
         start = self.starts[position]
         return curve[start:start + self.sizes[position]]
 
-    def pilot_stats(self, curve, flat_values, fitted):
-        """Per-feature pilot summaries from one smoothing sweep."""
-        squared = (flat_values - fitted) ** 2
-        record_starts = np.arange(len(self.names)) * self.n_sample
-        variance = np.add.reduceat(squared, record_starts) / self.n_sample
-        sup_sq = np.maximum.reduceat(curve * curve, self.starts)
-        slopes = np.abs(np.diff(curve) / self.grid_widths[:-1])
-        boundary = np.zeros(self.total - 1, dtype=bool)
-        boundary[self.starts[1:] - 1] = True
-        slopes = np.where(boundary, 0.0, slopes)
-        max_slope = np.maximum.reduceat(
-            slopes, np.minimum(self.starts, slopes.size - 1)
+
+def pilot_estimates(problem, residual, rng, config=None):
+    """Per-feature shape summaries from one sweep on a pilot subsample.
+
+    Draws ``min(pilot_size, n)`` records with ``rng`` (every record, in
+    order, when the pilot covers the data), smooths every numerical
+    feature against ``residual`` on them in one batched sweep, and reports
+    per feature, in ``problem.numerical`` order, the residual variance
+    around its pilot curve, the largest squared curve value, and the
+    steepest secant between neighbouring grid cells.  Returns the
+    estimates and the pilot smoother, whose ``indices`` are the pilot
+    records.
+    """
+    config = config or problem.config
+    n = problem.n
+    pilot_n = min(config.pilot_size, n)
+    indices = (
+        rng.choice(n, pilot_n, replace=False) if n > pilot_n
+        else np.arange(n)
+    )
+    smoother = _BatchedSampleSmoother(problem, config, indices)
+    p = len(smoother.names)
+    flat = np.tile(residual[indices], p)
+    curve, fitted = smoother.sweep(flat)
+    variance = np.add.reduceat(
+        (flat - fitted) ** 2, np.arange(p) * pilot_n
+    ) / pilot_n
+    sup_sq = np.maximum.reduceat(curve * curve, smoother.starts)
+    slopes = np.abs(np.diff(curve) / smoother.grid_widths[:-1])
+    # no secant across the seam between two features' grids
+    slopes[smoother.starts[1:] - 1] = 0.0
+    max_slope = np.maximum.reduceat(
+        slopes, np.minimum(smoother.starts, slopes.size - 1)
+    )
+    pilots = [
+        PilotEstimate(variance=float(variance[i]),
+                      sup_squared=float(sup_sq[i]),
+                      max_slope=float(max_slope[i]))
+        for i in range(p)
+    ]
+    return pilots, smoother
+
+
+def estimate_sample_size(pilots, gamma, floor):
+    """Initialization sample size from the pilot variation bound.
+
+    ``ceil(max_i gamma * (variance_i + sup_squared_i) * max_slope_i)``,
+    floored at the pilot size so the estimate never shrinks below what
+    was already affordable.
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    worst = 0.0
+    for pilot in pilots:
+        worst = max(
+            worst,
+            gamma * (pilot.variance + pilot.sup_squared) * pilot.max_slope,
         )
-        return [
-            PilotEstimate(variance=float(variance[i]),
-                          sup_squared=float(sup_sq[i]),
-                          max_slope=float(max_slope[i]))
-            for i in range(len(self.names))
-        ]
+    return int(max(floor, math.ceil(worst)))
 
 
 def _sampling_initialization(problem, state, config):
@@ -808,33 +780,23 @@ def _sampling_initialization(problem, state, config):
     """
     rng = np.random.default_rng(config.seed)
     n = problem.n
-    pilot_n = min(config.pilot_size, n)
-    pilot_idx = (
-        rng.choice(n, pilot_n, replace=False) if n > pilot_n
-        else np.arange(n)
-    )
-    p = len(problem.numerical)
-    pilot_smoother = _BatchedSampleSmoother(problem, config, pilot_idx)
-    base = state.residual[pilot_idx]
-    flat = np.tile(base, p)
-    curve, fitted = pilot_smoother.sweep(flat)
-    pilots = pilot_smoother.pilot_stats(curve, flat, fitted)
-
+    pilots, smoother = pilot_estimates(problem, state.residual, rng, config)
+    pilot_n = smoother.n_sample
     sample_size = min(
         n,
         estimate_sample_size(pilots, config.sampling_gamma,
                              config.pilot_size),
     )
     if sample_size <= pilot_n:
-        smoother, idx = pilot_smoother, pilot_idx
         sample_size = pilot_n
     else:
-        idx = rng.choice(n, size=sample_size, replace=False)
-        smoother = _BatchedSampleSmoother(problem, config, idx)
-
-    base = state.residual[idx]
-    fits = np.zeros(len(problem.numerical) * idx.size)
-    record_tile = np.tile(base, p)
+        smoother = _BatchedSampleSmoother(
+            problem, config, rng.choice(n, size=sample_size, replace=False)
+        )
+    idx = smoother.indices
+    p = len(smoother.names)
+    fits = np.zeros(p * idx.size)
+    record_tile = np.tile(state.residual[idx], p)
     # two refinement sweeps; beyond that the subsample's estimation
     # error, not the iteration, bounds the initialization quality
     for _ in range(2):

@@ -226,6 +226,15 @@ class TestExitCodes:
         assert rc == 3
         assert "column 'c': record 1" in capsys.readouterr().err
 
+    def test_tiny_pilot_is_data_error(self, pipeline, tmp_path, capsys):
+        rc = main([
+            "train", "--data", pipeline["data"], "--schema",
+            pipeline["schema"], "--out", str(tmp_path / "m.json"),
+            "--pilot-size", "0", "--sampling-threshold", "1000",
+        ])
+        assert rc == 3
+        assert "pilot_size" in capsys.readouterr().err
+
     def test_bad_schema_is_data_error(self, pipeline, tmp_path):
         bad = tmp_path / "schema.json"
         bad.write_text(json.dumps({"columns": [

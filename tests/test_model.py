@@ -161,6 +161,18 @@ class TestSerialization:
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
+    def test_flags_round_trip_as_booleans(self, trained):
+        _, model = trained
+        payload = serialize(model)
+        clone = deserialize(payload)
+        assert clone.diagnostics["converged"] is True
+        flags = clone.diagnostics["stage3"]["converged"]
+        assert flags and all(flag is True for flag in flags)
+        # files that wrote the flags as 0/1 still load
+        legacy = payload.replace(b'"converged":true', b'"converged":1')
+        assert legacy != payload
+        assert deserialize(legacy).converged is True
+
     def test_empty_categorical_model_round_trips(self):
         model = FxamModel(
             intercept=2.0,

@@ -35,34 +35,67 @@ def columns_of(dataset):
     return out
 
 
+def pilot_problem(pilot_size, **numerical):
+    n = len(next(iter(numerical.values())))
+    ds = Dataset(response=np.zeros(n), numerical=numerical)
+    return TrainingProblem(ds, TrainConfig(pilot_size=pilot_size))
+
+
 class TestPilotEstimates:
     def test_noiseless_linear(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 10, 400)
-        pilot = pilot_estimates(x, 2 * x, 500, seed=0, smoothness=1e-9)
-        assert pilot.max_slope == pytest.approx(2.0, rel=1e-3)
-        assert pilot.variance == pytest.approx(0.0, abs=1e-10)
+        x = np.random.default_rng(0).permutation(np.linspace(0, 10, 4000))
+        residual = 2.0 * (x - x.mean())
+        problem = pilot_problem(4000, x=x)
+        (pilot,), _ = pilot_estimates(problem, residual,
+                                      np.random.default_rng(0))
+        # on an even design the kernel curve keeps the interior slope and
+        # flattens only near the ends, so the steepest secant is the truth
+        assert pilot.max_slope == pytest.approx(2.0, rel=1e-2)
+        assert pilot.variance < 2e-3 * np.var(residual)
+
+    def test_features_keep_their_own_summaries(self):
+        rng = np.random.default_rng(3)
+        x0 = rng.permutation(np.linspace(0, 10, 4000))
+        x1 = rng.permutation(np.linspace(0, 5, 4000))
+        residual = 2.0 * (x0 - x0.mean())
+        problem = pilot_problem(4000, x0=x0, x1=x1)
+        first, second = pilot_estimates(problem, residual,
+                                        np.random.default_rng(0))[0]
+        # no secant spans the seam from x0's grid to x1's
+        assert first.max_slope == pytest.approx(2.0, rel=1e-2)
+        assert second.variance > 0.9 * np.var(residual)
 
     def test_constant_target(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 10, 100)
-        pilot = pilot_estimates(x, np.full(100, 5.0), 100, seed=0)
-        assert pilot.sup_squared == pytest.approx(25.0)
-        # slope is solver roundoff divided by the smallest knot gap
-        assert pilot.max_slope == pytest.approx(0.0, abs=1e-6)
-        assert pilot.variance == pytest.approx(0.0, abs=1e-12)
+        problem = pilot_problem(100, x=x)
+        (zero,), _ = pilot_estimates(problem, np.zeros(100),
+                                     np.random.default_rng(0))
+        assert zero == PilotEstimate(variance=0.0, sup_squared=0.0,
+                                     max_slope=0.0)
+        # curves are centred, so a constant is all residual variance
+        (five,), _ = pilot_estimates(problem, np.full(100, 5.0),
+                                     np.random.default_rng(0))
+        assert five.variance == pytest.approx(25.0)
+        assert five.sup_squared == pytest.approx(0.0, abs=1e-20)
+        assert five.max_slope == pytest.approx(0.0, abs=1e-10)
 
     def test_large_pilot_is_identity_subsample(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(0, 10, 50)
-        y = np.sin(x)
-        full = pilot_estimates(x, y, 10_000, seed=1)
-        again = pilot_estimates(x, y, 10_000, seed=99)
-        assert full == again  # no subsampling happened
+        residual = np.sin(x)
+        problem = pilot_problem(10_000, x=x)
+        full, smoother = pilot_estimates(problem, residual,
+                                         np.random.default_rng(1))
+        again, _ = pilot_estimates(problem, residual,
+                                   np.random.default_rng(99))
+        assert full == again
+        np.testing.assert_array_equal(smoother.indices, np.arange(50))
 
     def test_rejects_tiny_pilot(self):
-        with pytest.raises(ValueError, match="at least 10"):
-            pilot_estimates(np.zeros(5), np.zeros(5), 5, seed=0)
+        with pytest.raises(ValueError, match="pilot_size"):
+            TrainConfig(pilot_size=9)
+        assert TrainConfig(pilot_size=10).pilot_size == 10
 
 
 class TestEstimateSampleSize:
@@ -87,12 +120,20 @@ class TestEstimateSampleSize:
         assert estimate_sample_size([pilot], gamma=1.0, floor=123) == 123
 
 
+def power_of(x, residual, max_slope, bandwidth):
+    """predictive_power on the summaries stage 1 caches and computes."""
+    centered = residual - residual.mean()
+    x_scatter = float(np.sum((x - x.mean()) ** 2))
+    return predictive_power(x_scatter, float(centered @ centered),
+                            float(x @ centered), x.size, max_slope,
+                            bandwidth)
+
+
 class TestPredictivePower:
     def test_constant_residual(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, 100)
-        power = predictive_power(x, np.full(100, 3.0), max_slope=1.5,
-                                 support=1.0, bandwidth=0.4)
+        power = power_of(x, np.full(100, 3.0), max_slope=1.5, bandwidth=0.4)
         assert power == pytest.approx(-(2 * 1.5 * 0.4) ** 2)
 
     def test_perfectly_correlated(self):
@@ -100,8 +141,7 @@ class TestPredictivePower:
         x = rng.uniform(0, 1, 50)
         residual = 2.0 * x + 1.0
         tss = float(np.sum((residual - residual.mean()) ** 2))
-        power = predictive_power(x, residual, max_slope=0.0, support=1.0,
-                                 bandwidth=1.0)
+        power = power_of(x, residual, max_slope=0.0, bandwidth=1.0)
         assert power == pytest.approx(2 * tss / 48)
 
     def test_independent_noise_is_near_bias_term(self):
@@ -109,12 +149,16 @@ class TestPredictivePower:
         n = 1000
         x = rng.uniform(0, 1, n)
         residual = rng.normal(0, 1, n)
-        bias = (2 * 0.5 * 1.0 * 0.2) ** 2
-        power = predictive_power(x, residual, max_slope=0.5, support=1.0,
-                                 bandwidth=0.2)
+        bias = (2 * 0.5 * 0.2) ** 2
+        power = power_of(x, residual, max_slope=0.5, bandwidth=0.2)
         tss = float(np.sum((residual - residual.mean()) ** 2))
         # r^2 of independent vectors is O(1/n)
         assert abs(power + bias) < 2 * tss * (10.0 / n) / (n - 2)
+
+    def test_constant_feature_scores_bias_only(self):
+        power = predictive_power(0.0, 4.0, 0.0, 10, max_slope=1.0,
+                                 bandwidth=0.5)
+        assert power == -1.0
 
 
 class TestOrderFeatures:
@@ -521,6 +565,24 @@ class TestTsiTrain:
         rmse_off = float(np.sqrt(np.mean((predict_batch(off, cols) - y) ** 2)))
         assert "sampling" in on.diagnostics
         assert abs(rmse_on - rmse_off) < 1e-3 * rmse_off
+
+    def test_fit_runs_the_tested_heuristics(self, monkeypatch):
+        calls = {"pilot_estimates": 0, "predictive_power": 0}
+        for name in calls:
+            def spy(*args, _name=name,
+                    _original=getattr(fxam.training, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(fxam.training, name, spy)
+        ds = numerical_only_dataset(4, n=200, p=3)
+        model = tsi_train(ds, TrainConfig(
+            sampling=True, dynamic_ordering=True, pilot_size=50,
+            sampling_threshold=100,
+        ))
+        assert "sampling" in model.diagnostics
+        assert calls["pilot_estimates"] == 1
+        # three features scored on every stage-1 entry
+        assert calls["predictive_power"] == 3 * model.diagnostics["cycles"]
 
     def test_max_cycles_flags_non_convergence(self):
         ds = make_toy_dataset(0)
