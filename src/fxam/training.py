@@ -5,7 +5,8 @@ convergence (Stage 1), a joint ridge solve for every categorical weight
 at once (Stage 2: an exact Cholesky solve against a factor built once per
 fit up to ``CLOSED_FORM_LIMIT`` pooled labels, accelerated gradient
 above), and seasonal-trend partial learning per temporal feature
-(Stage 3); cycles repeat until the penalized objective stalls.  With the
+(Stage 3: one direct solve of the trend/seasonal split on the penalized
+backend); cycles repeat until the penalized objective stalls.  With the
 penalized backend every stage is an exact block minimization, so the
 objective is non-increasing and the fixed point solves the model's
 normal equations; a dense direct solver of that same system is included
@@ -93,7 +94,9 @@ class TrainConfig:
     temporal_rules: dict = field(default_factory=dict)  # name -> TemporalRule
     stage_tol_factor: float = 1e-4     # Stage 1 partial convergence, x sd(y)
     max_stage1_passes: int = 100
-    inner_tol_factor: float = 1e-6     # decomposition alternation
+    # stage-3 sweeps, kernel backend only (the penalized backend solves
+    # each decomposition directly)
+    inner_tol_factor: float = 1e-6
     max_inner_iterations: int = 50
     outer_tol: float = 1e-6            # relative objective decrease per cycle
     max_cycles: int = 50
@@ -180,7 +183,7 @@ class TrainState:
 class _NumericalCache:
     """Per-feature smoothing structures, fixed for the whole run."""
 
-    def __init__(self, x, config):
+    def __init__(self, name, x, config):
         self.x = np.asarray(x, dtype=float)
         self.knots, self.inverse, self.counts = np.unique(
             self.x, return_inverse=True, return_counts=True
@@ -194,9 +197,16 @@ class _NumericalCache:
         self.plan = None
         if config.backend == "penalized":
             if self.knots.size > 2 and config.smoothness > 0:
-                self.factor = penalized_factor(
-                    self.knots, config.smoothness, self.counts
-                )
+                try:
+                    self.factor = penalized_factor(
+                        self.knots, config.smoothness, self.counts
+                    )
+                except np.linalg.LinAlgError as exc:
+                    raise ConvergenceError(
+                        f"numerical feature '{name}': the penalized smoother "
+                        "does not factor with "
+                        f"smoothness={config.smoothness}: {exc}"
+                    ) from exc
         else:
             # float64 accumulation: under the bandwidth rule the window
             # cancellation amplifies roundoff by ~n^0.4, orders of
@@ -233,9 +243,16 @@ class _TemporalCache:
             tol_factor=config.inner_tol_factor,
             max_iterations=config.max_inner_iterations,
         )
-        self.smoothers = build_smoothers(
-            self.series, self.partition, self.decompose_config
-        )
+        try:
+            self.smoothers = build_smoothers(
+                self.series, self.partition, self.decompose_config
+            )
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise ConvergenceError(
+                f"temporal feature '{name}': the trend/seasonal system does "
+                f"not factor with trend_smoothness={config.trend_smoothness}, "
+                f"seasonal_smoothness={config.seasonal_smoothness}: {exc}"
+            ) from exc
 
     def knot_means(self, record_values):
         sums = np.bincount(self.series.back_map, weights=record_values,
@@ -253,7 +270,7 @@ class TrainingProblem:
         self.n = dataset.n_records
         self.scale = float(np.std(self.y))
         self.numerical = {
-            name: _NumericalCache(col, config)
+            name: _NumericalCache(name, col, config)
             for name, col in dataset.numerical.items()
         }
         self.encoding = build_homogeneous_encoding(dataset)
@@ -516,9 +533,12 @@ def stage3_temporal(problem, state, config=None):
     """Partial learning per temporal feature, in declaration order.
 
     The record-space partial residual is compressed to the feature's time
-    grid (weighted means), decomposed (warm-started from the previous
-    components, at most ``max_inner_iterations`` sweeps; each call's sweep
-    count and convergence flag are recorded), and expanded back.  The trend's
+    grid (weighted means), decomposed, and expanded back.  The penalized
+    backend solves the decomposition exactly, keeping the previous
+    components if the solve would raise the local objective; the kernel
+    backend runs sweeps warm-started from them, at most
+    ``max_inner_iterations``.  Each call's sweep count and convergence
+    flag are recorded.  The trend's
     weighted mean is folded into the intercept, which together with the
     decomposition's seasonal conventions makes the fixed point unique.
     """

@@ -43,9 +43,9 @@ def make_toy_dataset(seed, n=200, time_points=12):
 def tight_toy_config(**overrides):
     """Penalized-backend config tight enough to pin the fixed point.
 
-    Stiff temporal penalties keep the trend/seasonal alternation fast in
-    its nearly shared smooth directions; the tolerances put every block
-    equation well below the 1e-6 comparison gates.
+    The tolerances put every block equation well below the 1e-6
+    comparison gates (stage 3 solves its split directly on this backend,
+    so the inner sweep settings go unread).
     """
     values = dict(
         backend="penalized",

@@ -235,6 +235,59 @@ class TestExitCodes:
         assert rc == 3
         assert "pilot_size" in capsys.readouterr().err
 
+    def test_unfactorable_numerical_smoother_exits_4(self, tmp_path,
+                                                     capsys):
+        # 5,000 uniform draws leave knot gaps near 1/n^2, and the banded
+        # Cholesky of the penalized smoother breaks down on them
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 10, 5_000)
+        y = np.sin(x) + rng.normal(0, 0.1, x.size)
+        data = tmp_path / "uniform.csv"
+        np.savetxt(data, np.column_stack([x, y]), fmt="%.17g",
+                   delimiter=",", header="x,y", comments="")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": "x", "kind": "numerical"},
+            {"name": "y", "kind": "response"},
+        ]}))
+        rc = main([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(tmp_path / "m.json"), "--backend", "penalized",
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "numerical feature 'x'" in err
+        assert "smoothness=1.0" in err
+
+    def test_singular_split_factor_exits_4(self, tmp_path, monkeypatch,
+                                           capsys):
+        import scipy.sparse.linalg
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        rng = np.random.default_rng(1)
+        t = rng.integers(0, 60, 400)
+        y = np.sin(2 * np.pi * t / 7) + rng.normal(0, 0.1, t.size)
+        data = tmp_path / "daily.csv"
+        np.savetxt(data, np.column_stack([t, y]), fmt=["%d", "%.17g"],
+                   delimiter=",", header="day,y", comments="")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": "day", "kind": "temporal", "period": 7},
+            {"name": "y", "kind": "response"},
+        ]}))
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        rc = main([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(tmp_path / "m.json"), "--backend", "penalized",
+            "--trend-smoothness", "3",
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "temporal feature 'day'" in err
+        assert "trend_smoothness=3.0" in err
+
     def test_bad_schema_is_data_error(self, pipeline, tmp_path):
         bad = tmp_path / "schema.json"
         bad.write_text(json.dumps({"columns": [

@@ -1,7 +1,10 @@
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import fxam.temporal
 import fxam.training
@@ -11,7 +14,6 @@ from fxam.smoothers import (
     default_bandwidth,
     fast_kernel_smooth,
     naive_kernel_smooth,
-    penalized_smooth,
     second_difference_matrix,
 )
 from fxam.model import ShapeCurve, TemporalCurves
@@ -161,10 +163,23 @@ class TestPrebuiltSmoothers:
         weights = series.weights.astype(float)
         rng = np.random.default_rng(0)
 
-        def one_shot(idx, penalty, target):
+        if backend == "penalized":
+            # one joint factor stands for the trend and every phase; its
+            # one-shot counterpart is the dense bordered solve
+            for _ in range(2):  # a factor serves any number of targets
+                target = rng.normal(0, 1, knots.size)
+                split = decompose(series, partition, target, config,
+                                  smoothers=smoothers)
+                trend, seasonal = bordered_fixed_point(series, partition,
+                                                       target, config)
+                np.testing.assert_allclose(split.trend, trend,
+                                           rtol=0, atol=1e-9)
+                np.testing.assert_allclose(split.seasonal, seasonal,
+                                           rtol=0, atol=1e-9)
+            return
+
+        def one_shot(idx, target):
             x, w = knots[idx], weights[idx]
-            if backend == "penalized":
-                return penalized_smooth(x, target, penalty, w)
             h = default_bandwidth(x, config.bandwidth_factor)
             return fast_kernel_smooth(x, target, h, w)
 
@@ -172,13 +187,11 @@ class TestPrebuiltSmoothers:
         for _ in range(2):  # a smoother serves any number of targets
             target = rng.normal(0, 1, knots.size)
             np.testing.assert_array_equal(
-                smoothers.trend(target),
-                one_shot(everything, config.trend_penalty, target),
+                smoothers.trend(target), one_shot(everything, target),
             )
             for idx, fit in zip(partition.phase_sets, smoothers.phases):
                 np.testing.assert_array_equal(
-                    fit(target[idx]),
-                    one_shot(idx, config.seasonal_penalty, target[idx]),
+                    fit(target[idx]), one_shot(idx, target[idx]),
                 )
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -215,17 +228,20 @@ class TestPrebuiltSmoothers:
         builds = []
         decomposes = []
         if backend == "penalized":
-            factor = fxam.temporal.penalized_factor
+            # one joint factor stands for the trend and every phase
+            factor = scipy.sparse.linalg.splu
             monkeypatch.setattr(
-                fxam.temporal, "penalized_factor",
+                scipy.sparse.linalg, "splu",
                 lambda *a, **k: builds.append(1) or factor(*a, **k),
             )
+            expected = 1
         else:
             init = KernelSmootherPlan.__init__
             monkeypatch.setattr(
                 KernelSmootherPlan, "__init__",
                 lambda *a, **k: builds.append(1) or init(*a, **k),
             )
+            expected = period + 1
         inner = fxam.training.decompose
         monkeypatch.setattr(
             fxam.training, "decompose",
@@ -233,7 +249,7 @@ class TestPrebuiltSmoothers:
         )
         tsi_train(dataset, config)
         assert len(decomposes) >= 2
-        assert len(builds) == period + 1
+        assert len(builds) == expected
 
 
 HOURS = 17_520  # two years of hourly time points
@@ -361,22 +377,213 @@ class TestAcceleratedPenalized:
         assert np.all(np.diff(history) <= 1e-12 * history[0])
 
     def test_rejected_steps_count_as_sweeps(self, monkeypatch):
-        # an objective that rises on every call rejects every accelerated
-        # iterate; each rejection still costs one sweep-map evaluation
+        # an objective that rises on every call rejects the solve: the
+        # warm start is kept, and the call still counts as one sweep
         times, values = _seasonal_series(37, 60, 5)
         series, partition = make_series(times, values, period=5)
         config = DecomposeConfig(trend_penalty=30.0, seasonal_penalty=10.0,
-                                 tol_factor=1e-14, max_iterations=12,
                                  track_objective=True)
+        warm = decompose(series, partition, series.values, config)
         rising = iter(range(1_000))
         monkeypatch.setattr(fxam.temporal, "_local_objective",
                             lambda *args: float(next(rising)))
+        components = decompose(series, partition, 0.5 * series.values,
+                               config, initial=warm)
+        assert components.iterations == 1
+        assert components.converged
+        np.testing.assert_array_equal(components.trend, warm.trend)
+        np.testing.assert_array_equal(components.seasonal, warm.seasonal)
+        # before and after: the kept warm start's value, twice
+        assert components.objective_history == (0.0, 0.0)
+
+
+def sparse_curvature(x):
+    """K = D2'D2 on strictly increasing knots, built sparse from the
+    second divided differences (zero below three knots)."""
+    n = x.size
+    if n < 3:
+        return sp.csr_matrix((n, n))
+    h0 = x[1:-1] - x[:-2]
+    h1 = x[2:] - x[1:-1]
+    span = x[2:] - x[:-2]
+    rows = np.repeat(np.arange(n - 2), 3)
+    cols = (np.arange(n - 2)[:, None] + np.arange(3)).ravel()
+    values = np.column_stack(
+        [2.0 / (h0 * span), -2.0 / (h0 * h1), 2.0 / (h1 * span)]
+    ).ravel()
+    d2 = sp.csr_matrix((values, (rows, cols)), shape=(n - 2, n))
+    return (d2.T @ d2).tocsr()
+
+
+def assert_split_optimal(series, partition, residual, config, components,
+                         rtol=1e-12):
+    """Both block equations hold and the seasonal has weighted mean zero
+    and no weighted linear drift.
+
+    Each equation's residual is measured row by row against the sum of
+    the absolute values of its terms (|A||x| + |b|, the Oettli-Prager
+    scale), so heavily penalized rows do not hide errors in light ones.
+    """
+    times = series.times.astype(float)
+    w = series.weights.astype(float)
+    trend, seasonal = components.trend, components.seasonal
+    seasonal_penalty = np.zeros(times.size)
+    seasonal_scale = np.zeros(times.size)
+    for idx in partition.phase_sets:
+        curvature = sparse_curvature(times[idx])
+        seasonal_penalty[idx] = curvature @ seasonal[idx]
+        seasonal_scale[idx] = abs(curvature) @ np.abs(seasonal[idx])
+    curvature = sparse_curvature(times)
+    misfit = w * (trend + seasonal - residual)
+    fit_scale = w * (np.abs(trend) + np.abs(seasonal) + np.abs(residual))
+    trend_eq = misfit + config.trend_penalty * (curvature @ trend)
+    trend_scale = fit_scale + config.trend_penalty * (
+        abs(curvature) @ np.abs(trend)
+    )
+    seasonal_eq = misfit + config.seasonal_penalty * seasonal_penalty
+    seasonal_scale = fit_scale + config.seasonal_penalty * seasonal_scale
+    assert np.all(np.abs(trend_eq) <= rtol * trend_scale)
+    assert np.all(np.abs(seasonal_eq) <= rtol * seasonal_scale)
+    size = max(np.max(np.abs(residual)), 1.0)
+    assert abs(np.average(seasonal, weights=w)) <= 1e-10 * size
+    centered = times - np.average(times, weights=w)
+    scatter = float(np.sum(w * centered * centered))
+    if scatter > 0.0:
+        drift = float(np.sum(w * centered * seasonal)) / scatter
+        assert abs(drift) <= 1e-10 * size
+
+
+def _daily_series(seed, records=20_000, days=730, period=7):
+    """A two-year daily series like the benchmark's: a yearly wave, a
+    weekly profile and unit noise, every day observed."""
+    rng = np.random.default_rng(seed)
+    times = rng.integers(0, days, records)
+    profile = np.array([0.6, 0.3, 0.1, 0.0, 0.2, -0.5, -0.7])[:period]
+    values = (np.sin(2 * np.pi * times / days) + profile[times % period]
+              + rng.normal(0, 1, times.size))
+    return make_series(times, values, period=period)
+
+
+class TestSplitFactor:
+    """The penalized split is one exact solve of both block equations."""
+
+    def test_agrees_with_bordered_oracle(self):
+        times, values = _seasonal_series(31, 90, 6)
+        series, partition = make_series(times, values, period=6)
+        config = DecomposeConfig(trend_penalty=30.0, seasonal_penalty=10.0)
         components = decompose(series, partition, series.values, config)
-        assert components.iterations == 12
-        assert not components.converged
-        # the initial state plus the accepted plain sweeps: the first two
-        # (no history yet), then every other one
-        assert len(components.objective_history) == 1 + 2 + 5
+        trend, seasonal = bordered_fixed_point(series, partition,
+                                               series.values, config)
+        np.testing.assert_allclose(components.trend, trend,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(components.seasonal, seasonal,
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("penalty", [1e-3, 1.0, 1e4])
+    def test_block_equations_hold(self, penalty):
+        # at small penalties the split itself is ill-conditioned, so the
+        # equations are the check, not a componentwise comparison
+        series, partition = _daily_series(41)
+        assert series.n_points == 730
+        config = DecomposeConfig(trend_penalty=penalty,
+                                 seasonal_penalty=penalty)
+        components = decompose(series, partition, series.values, config)
+        assert_split_optimal(series, partition, series.values, config,
+                             components)
+
+    def test_direct_call_reports_one_converged_sweep(self):
+        series, partition = _daily_series(43, records=5_000, days=120)
+        config = DecomposeConfig(track_objective=True)
+        components = decompose(series, partition, series.values, config)
+        assert components.iterations == 1
+        assert components.converged
+        # before (the zero start) and after the solve
+        w = series.weights.astype(float)
+        before, after = components.objective_history
+        assert before == pytest.approx(float(np.sum(w * series.values ** 2)))
+        assert after < before
+
+    def test_sparse_phase_factors_fast(self):
+        # hourly data in which one phase is seen only about 12 times: the
+        # phase couples points hundreds of hours apart, which a fixed band
+        # would have to cover everywhere
+        times, values = _hourly_records(seed=1)
+        rng = np.random.default_rng(2)
+        keep = ((times % DAY != 5)
+                | (rng.random(times.size) < 12 * DAY / times.size))
+        series, partition = make_series(times[keep], values[keep],
+                                        period=DAY)
+        assert 6 <= partition.phase_sets[5].size <= 24
+        config = DecomposeConfig()
+        start = time.perf_counter()
+        factor = build_smoothers(series, partition, config)
+        assert time.perf_counter() - start < 2.0
+        components = decompose(series, partition, series.values, config,
+                               smoothers=factor)
+        assert_split_optimal(series, partition, series.values, config,
+                             components)
+
+    def test_zero_trend_penalty_passes_target_to_trend(self):
+        series, partition = _daily_series(47, records=3_000, days=60)
+        config = DecomposeConfig(trend_penalty=0.0, seasonal_penalty=5.0)
+        components = decompose(series, partition, series.values, config)
+        np.testing.assert_array_equal(components.trend, series.values)
+        np.testing.assert_array_equal(components.seasonal, 0.0)
+        assert_split_optimal(series, partition, series.values, config,
+                             components)
+
+    def test_zero_seasonal_penalty_leaves_a_line_in_the_trend(self):
+        # a free seasonal absorbs everything but the weighted
+        # least-squares line, which its mean and drift conventions leave
+        # to the trend
+        series, partition = _daily_series(53, records=3_000, days=60)
+        config = DecomposeConfig(trend_penalty=5.0, seasonal_penalty=0.0)
+        components = decompose(series, partition, series.values, config)
+        assert_split_optimal(series, partition, series.values, config,
+                             components)
+        times = series.times.astype(float)
+        w = series.weights.astype(float)
+        line = np.polyval(np.polyfit(times, series.values, 1, w=np.sqrt(w)),
+                          times)
+        np.testing.assert_allclose(components.trend, line, rtol=0,
+                                   atol=1e-9)
+
+    def test_phases_with_fewer_than_three_points(self):
+        # phase 1 holds two points, phase 2 one, phase 3 none
+        times = np.array([0, 1, 2, 4, 5, 8, 12, 16, 20, 24, 28])
+        values = np.sin(times.astype(float)) + 0.1 * times
+        series, partition = make_series(times, values, period=4)
+        sizes = [idx.size for idx in partition.phase_sets]
+        assert sizes == [8, 2, 1, 0]
+        config = DecomposeConfig(trend_penalty=3.0, seasonal_penalty=2.0)
+        components = decompose(series, partition, series.values, config)
+        assert_split_optimal(series, partition, series.values, config,
+                             components)
+
+    @pytest.mark.parametrize("times", [[3], [2, 7]])
+    def test_series_of_at_most_two_points(self, times):
+        times = np.repeat(np.array(times), 3)
+        values = np.arange(times.size, dtype=float)
+        series, partition = make_series(times, values, period=4)
+        config = DecomposeConfig()
+        components = decompose(series, partition, series.values, config)
+        np.testing.assert_array_equal(components.trend, series.values)
+        np.testing.assert_array_equal(components.seasonal, 0.0)
+        assert_split_optimal(series, partition, series.values, config,
+                             components)
+
+    def test_fit_records_one_converged_solve_per_call(self):
+        times, values = _seasonal_series(59, 120, 7)
+        dataset = Dataset(response=values, temporal={"t": times})
+        config = TrainConfig(
+            backend="penalized",
+            temporal_rules={"t": TemporalRule(period=7)},
+        )
+        model = tsi_train(dataset, config)
+        stage3 = model.diagnostics["stage3"]
+        assert len(stage3["sweeps"]) == model.diagnostics["cycles"]
+        assert stage3["sweeps"] == [1] * model.diagnostics["cycles"]
+        assert all(stage3["converged"])
 
 
 def temporal_curves(components, partition):
