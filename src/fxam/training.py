@@ -15,10 +15,10 @@ as the optimality oracle.
 Two Stage 1 accelerations are available: intelligent sampling (shape
 curves initialized from a subsample whose size
 :func:`estimate_sample_size` bounds from the summaries that
-:func:`pilot_estimates` takes in one batched sweep over a pilot
-subsample) and dynamic feature iteration (features smoothed in
-descending order of :func:`predictive_power`).  Both change only the
-path, not the fixed point.
+:func:`pilot_estimates` takes in one sweep over a pilot subsample) and
+dynamic feature iteration (features smoothed in descending order of
+:func:`predictive_power`).  Both change only the path, not the fixed
+point.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.linalg as sla
@@ -58,6 +59,16 @@ from .smoothers import (
 from .temporal import DecomposeConfig, build_smoothers, decompose
 
 BACKENDS = ("penalized", "fast-kernel")
+# TrainConfig's numeric fields: floats must be finite, counts integers
+_POSITIVE = (
+    "categorical_ridge", "bandwidth_factor", "stage_tol_factor",
+    "inner_tol_factor", "outer_tol", "solver_tol", "sampling_gamma",
+)
+_NONNEGATIVE = ("smoothness", "trend_smoothness", "seasonal_smoothness")
+_MIN_COUNTS = {
+    "max_stage1_passes": 1, "max_inner_iterations": 1, "max_cycles": 1,
+    "pilot_size": 10, "sampling_threshold": 1, "seed": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -112,27 +123,26 @@ class TrainConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        for label, value in (
-            ("stage_tol_factor", self.stage_tol_factor),
-            ("inner_tol_factor", self.inner_tol_factor),
-            ("outer_tol", self.outer_tol),
-            ("solver_tol", self.solver_tol),
-        ):
-            if value <= 0:
-                raise ValueError(f"{label} must be positive")
-        for label, value in (
-            ("smoothness", self.smoothness),
-            ("trend_smoothness", self.trend_smoothness),
-            ("seasonal_smoothness", self.seasonal_smoothness),
-        ):
-            if value < 0:
-                raise ValueError(f"{label} must be nonnegative")
-        if self.categorical_ridge <= 0:
-            raise ValueError("categorical_ridge must be positive")
-        if self.sampling_gamma <= 0:
-            raise ValueError("sampling_gamma must be positive")
-        if self.pilot_size < 10:
-            raise ValueError("pilot_size must be at least 10")
+        for label in _POSITIVE + _NONNEGATIVE:
+            value = getattr(self, label)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not math.isfinite(value) or value < 0
+                    or (value == 0 and label in _POSITIVE)):
+                kind = "positive" if label in _POSITIVE else "nonnegative"
+                raise ValueError(
+                    f"{label} must be a finite {kind} number, got {value!r}"
+                )
+        for label, low in _MIN_COUNTS.items():
+            value = getattr(self, label)
+            if (isinstance(value, bool) or not isinstance(value, Integral)
+                    or value < low):
+                raise ValueError(
+                    f"{label} must be an integer of at least {low}, "
+                    f"got {value!r}"
+                )
+        for label in ("sampling", "dynamic_ordering"):
+            if not isinstance(getattr(self, label), bool):
+                raise ValueError(f"{label} must be true or false")
         for rule in self.temporal_rules.values():
             if not isinstance(rule, TemporalRule):
                 raise ValueError("temporal_rules values must be TemporalRule")
@@ -144,7 +154,8 @@ class PilotEstimate:
 
     ``variance`` is the residual variance around the pilot curve,
     ``sup_squared`` the largest squared curve value, and ``max_slope`` the
-    steepest secant between neighbouring cells of the pilot grid.
+    steepest secant between neighbouring populated cells of the pilot
+    grid.
     """
 
     variance: float
@@ -609,123 +620,51 @@ def objective_value(problem, state, config=None):
 INIT_GRID_BINS = 512
 
 
-class _BatchedSampleSmoother:
-    """One shared-subsample smoother for every numerical feature at once.
+class _SampleSmoother:
+    """One numerical feature's kernel smoother on a record subsample.
 
-    Each feature's subsample is binned onto a fixed uniform grid (binned
-    kernel regression: the bin width is far below the subsample
-    bandwidth, so the estimator is unchanged), and all grids are
-    concatenated.  Uniform grids make the kernel windows analytic and
-    kernel windows never cross segment boundaries, so one global cumsum
-    per polynomial term serves every feature.  A whole simultaneous
-    smoothing sweep over every feature costs a fixed handful of array
-    operations, keeping the sampling initialization far cheaper than the
-    full-data backfitting pass it is meant to save.
+    The subsample is binned onto ``INIT_GRID_BINS`` uniform cells over the
+    feature's knot range (binned kernel regression: the cell width is far
+    below the subsample bandwidth, so the estimator is unchanged).  The
+    populated cells, weighted by their record counts, are the knots of a
+    :class:`KernelSmootherPlan` whose window is the bandwidth rounded up
+    to whole cells.
     """
 
-    def __init__(self, problem, config, indices, bins=INIT_GRID_BINS):
-        self.names = list(problem.numerical)
-        self.indices = indices
-        self.n_sample = indices.size
-        p = len(self.names)
-        self.bins = bins
-        self.total = p * bins
-
-        lows = np.empty(p)
-        widths = np.empty(p)
-        halves = np.empty(p, dtype=np.int64)
-        sample_columns = np.empty((p, self.n_sample))
-        for i, name in enumerate(self.names):
-            cache = problem.numerical[name]
-            xs = cache.x[indices]
-            sample_columns[i] = xs
-            lo = cache.knots[0]
-            span = cache.knots[-1] - cache.knots[0]
-            width = span / bins if span > 0 else 1.0
-            h = default_bandwidth(xs, config.bandwidth_factor)
-            lows[i] = lo
-            widths[i] = width
-            halves[i] = max(1, int(np.ceil(h / width)))
-
-        flat = sample_columns.ravel()
-        scaled = (flat - np.repeat(lows, self.n_sample)) \
-            / np.repeat(widths, self.n_sample)
-        codes = np.clip(scaled.astype(np.int64), 0, bins - 1)
-        self.codes = codes + np.repeat(
-            np.arange(p) * bins, self.n_sample
+    def __init__(self, cache, xs, bandwidth_factor):
+        bins = INIT_GRID_BINS
+        lo = cache.knots[0]
+        span = cache.knots[-1] - lo
+        width = span / bins if span > 0 else 1.0
+        half = max(1, int(np.ceil(
+            default_bandwidth(xs, bandwidth_factor) / width
+        )))
+        codes = np.clip(((xs - lo) / width).astype(np.int64), 0, bins - 1)
+        counts = np.bincount(codes, minlength=bins)
+        populated = counts > 0
+        # cell number among the populated cells, looked up without a sort
+        self.cells = (np.cumsum(populated) - 1)[codes]
+        self.counts = counts[populated].astype(float)
+        self.centres = lo + (np.flatnonzero(populated) + 0.5) * width
+        self.plan = KernelSmootherPlan(
+            self.centres, half * width, self.counts, dtype=np.float64
         )
-        self.weights = np.bincount(self.codes, minlength=self.total)
 
-        # analytic windows on the uniform grids
-        cell = np.tile(np.arange(bins), p)
-        half = np.repeat(halves, bins)
-        start_of = np.repeat(np.arange(p) * bins, bins)
-        self.lo = start_of + np.maximum(cell - half, 0)
-        self.hi = start_of + np.minimum(cell + half + 1, bins)
+    def sweep(self, target):
+        """Smooth per-record ``target``; returns the record-mean-centred
+        cell curve and its values at the records."""
+        sums = np.bincount(self.cells, weights=target,
+                           minlength=self.counts.size)
+        curve = self.plan.smooth(sums / self.counts)
+        curve -= (self.counts @ curve) / self.cells.size
+        return curve, curve[self.cells]
 
-        centers = np.repeat(lows, bins) + (cell + 0.5) * np.repeat(
-            widths, bins
-        )
-        self.knots = centers
-        mid = np.repeat(
-            lows + 0.5 * widths * bins, bins
-        )
-        xc = centers - mid
-        h_grid = np.repeat(halves * widths, bins)
-        h_sq = h_grid * h_grid
-        self.xc = xc
-        self.xc_sq = xc * xc
-        self.coef_a = 1.0 - self.xc_sq / h_sq
-        self.coef_b = 2.0 * xc / h_sq
-        self.coef_c = 1.0 / h_sq
 
-        self.starts = np.arange(p) * bins
-        self.sizes = np.full(p, bins)
-        self.segment_weight = np.add.reduceat(self.weights, self.starts)
-        weighted = self.weights.astype(float)
-        s_w, s_xw, s_xxw = self._window_sums(
-            (weighted, xc * weighted, self.xc_sq * weighted)
-        )
-        den = self.coef_a * s_w + self.coef_b * s_xw - self.coef_c * s_xxw
-        self.empty = den <= 0.0
-        self.den = np.where(self.empty, 1.0, den)
-        self.grid_widths = np.repeat(widths, bins)
-
-    def _window_sums(self, terms):
-        sums = []
-        prefix = np.empty(self.total + 1)
-        for term in terms:
-            prefix[0] = 0.0
-            np.cumsum(term, out=prefix[1:])
-            sums.append(prefix[self.hi] - prefix[self.lo])
-        return sums
-
-    def sweep(self, flat_values):
-        """Smooth every feature against per-(feature, record) values.
-
-        Returns mean-centered grid curves (concatenated) and the matching
-        per-(feature, record) fitted values.
-        """
-        wy = np.bincount(
-            self.codes, weights=flat_values, minlength=self.total
-        )
-        s_wy, s_xwy, s_xxwy = self._window_sums(
-            (wy, self.xc * wy, self.xc_sq * wy)
-        )
-        curve = (
-            self.coef_a * s_wy + self.coef_b * s_xwy
-            - self.coef_c * s_xxwy
-        ) / self.den
-        curve[self.empty] = 0.0
-        means = np.add.reduceat(
-            curve * self.weights, self.starts
-        ) / np.maximum(self.segment_weight, 1.0)
-        curve = curve - np.repeat(means, self.sizes)
-        return curve, curve[self.codes]
-
-    def segment(self, curve, position):
-        start = self.starts[position]
-        return curve[start:start + self.sizes[position]]
+def _sample_smoothers(problem, config, indices):
+    return [
+        _SampleSmoother(cache, cache.x[indices], config.bandwidth_factor)
+        for cache in problem.numerical.values()
+    ]
 
 
 def pilot_estimates(problem, residual, rng, config=None):
@@ -733,12 +672,11 @@ def pilot_estimates(problem, residual, rng, config=None):
 
     Draws ``min(pilot_size, n)`` records with ``rng`` (every record, in
     order, when the pilot covers the data), smooths every numerical
-    feature against ``residual`` on them in one batched sweep, and reports
-    per feature, in ``problem.numerical`` order, the residual variance
-    around its pilot curve, the largest squared curve value, and the
-    steepest secant between neighbouring grid cells.  Returns the
-    estimates and the pilot smoother, whose ``indices`` are the pilot
-    records.
+    feature against ``residual`` on them, and reports per feature, in
+    ``problem.numerical`` order, the residual variance around its pilot
+    curve, the largest squared curve value, and the steepest secant
+    between neighbouring populated grid cells.  Returns the estimates,
+    the pilot record indices and the per-feature pilot smoothers.
     """
     config = config or problem.config
     n = problem.n
@@ -747,44 +685,36 @@ def pilot_estimates(problem, residual, rng, config=None):
         rng.choice(n, pilot_n, replace=False) if n > pilot_n
         else np.arange(n)
     )
-    smoother = _BatchedSampleSmoother(problem, config, indices)
-    p = len(smoother.names)
-    flat = np.tile(residual[indices], p)
-    curve, fitted = smoother.sweep(flat)
-    variance = np.add.reduceat(
-        (flat - fitted) ** 2, np.arange(p) * pilot_n
-    ) / pilot_n
-    sup_sq = np.maximum.reduceat(curve * curve, smoother.starts)
-    slopes = np.abs(np.diff(curve) / smoother.grid_widths[:-1])
-    # no secant across the seam between two features' grids
-    slopes[smoother.starts[1:] - 1] = 0.0
-    max_slope = np.maximum.reduceat(
-        slopes, np.minimum(smoother.starts, slopes.size - 1)
-    )
-    pilots = [
-        PilotEstimate(variance=float(variance[i]),
-                      sup_squared=float(sup_sq[i]),
-                      max_slope=float(max_slope[i]))
-        for i in range(p)
-    ]
-    return pilots, smoother
+    smoothers = _sample_smoothers(problem, config, indices)
+    target = residual[indices]
+    pilots = []
+    for smoother in smoothers:
+        curve, fitted = smoother.sweep(target)
+        slopes = np.abs(np.diff(curve) / np.diff(smoother.centres))
+        pilots.append(PilotEstimate(
+            variance=float(np.mean((target - fitted) ** 2)),
+            sup_squared=float(np.max(curve * curve)),
+            max_slope=float(slopes.max(initial=0.0)),
+        ))
+    return pilots, indices, smoothers
 
 
-def estimate_sample_size(pilots, gamma, floor):
+def estimate_sample_size(pilots, gamma, floor, limit=None):
     """Initialization sample size from the pilot variation bound.
 
     ``ceil(max_i gamma * (variance_i + sup_squared_i) * max_slope_i)``,
-    floored at the pilot size so the estimate never shrinks below what
-    was already affordable.
+    capped at ``limit`` (the record count) before rounding, so a huge
+    bound stays an integer, and floored at ``floor`` (the pilot size) so
+    the estimate never shrinks below what was already affordable.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    worst = 0.0
-    for pilot in pilots:
-        worst = max(
-            worst,
-            gamma * (pilot.variance + pilot.sup_squared) * pilot.max_slope,
-        )
+    worst = max(
+        (gamma * (p.variance + p.sup_squared) * p.max_slope for p in pilots),
+        default=0.0,
+    )
+    if limit is not None:
+        worst = min(worst, limit)
     return int(max(floor, math.ceil(worst)))
 
 
@@ -796,43 +726,36 @@ def _sampling_initialization(problem, state, config):
     smoothing sweeps on that sample produce the starting curves.  The
     sweeps update all features against the same residual snapshot
     (feature coupling on a uniform subsample is far below the subsample's
-    own estimation noise), which keeps the whole initialization batched.
+    own estimation noise).
     """
     rng = np.random.default_rng(config.seed)
     n = problem.n
-    pilots, smoother = pilot_estimates(problem, state.residual, rng, config)
-    pilot_n = smoother.n_sample
-    sample_size = min(
-        n,
-        estimate_sample_size(pilots, config.sampling_gamma,
-                             config.pilot_size),
+    pilots, indices, smoothers = pilot_estimates(
+        problem, state.residual, rng, config
     )
-    if sample_size <= pilot_n:
-        sample_size = pilot_n
-    else:
-        smoother = _BatchedSampleSmoother(
-            problem, config, rng.choice(n, size=sample_size, replace=False)
-        )
-    idx = smoother.indices
-    p = len(smoother.names)
-    fits = np.zeros(p * idx.size)
-    record_tile = np.tile(state.residual[idx], p)
+    pilot_n = indices.size
+    sample_size = estimate_sample_size(
+        pilots, config.sampling_gamma, pilot_n, limit=n
+    )
+    if sample_size > pilot_n:
+        indices = rng.choice(n, size=sample_size, replace=False)
+        smoothers = _sample_smoothers(problem, config, indices)
+    target = state.residual[indices]
+    fits = np.zeros((len(smoothers), sample_size))
+    curves = [None] * len(smoothers)
     # two refinement sweeps; beyond that the subsample's estimation
     # error, not the iteration, bounds the initialization quality
     for _ in range(2):
-        total = fits.reshape(p, idx.size).sum(axis=0)
-        flat = record_tile - np.tile(total, p) + fits
-        curve, fits = smoother.sweep(flat)
+        partial = target - fits.sum(axis=0)
+        for i, smoother in enumerate(smoothers):
+            curves[i], fits[i] = smoother.sweep(partial + fits[i])
 
     delta = np.zeros(n)
     mean_total = 0.0
-    for position, name in enumerate(smoother.names):
-        cache = problem.numerical[name]
-        sampled = np.interp(
-            cache.knots,
-            smoother.segment(smoother.knots, position),
-            smoother.segment(curve, position),
-        )
+    for (name, cache), smoother, curve in zip(
+        problem.numerical.items(), smoothers, curves
+    ):
+        sampled = np.interp(cache.knots, smoother.centres, curve)
         mean = float(cache.counts @ sampled) / n
         sampled = sampled - mean
         fit = sampled[cache.inverse]
@@ -1127,14 +1050,12 @@ def normal_equation_direct_solve(dataset, config, max_dim=DIRECT_SOLVE_LIMIT):
     n = problem.n
     y = problem.y
 
-    offsets = {}
-    sizes = {}
+    blocks = {}  # key -> slice of the stacked coordinates
     position = 0
 
     def register(key, size):
         nonlocal position
-        offsets[key] = position
-        sizes[key] = size
+        blocks[key] = slice(position, position + size)
         position += size
 
     register("intercept", 1)
@@ -1147,25 +1068,20 @@ def normal_equation_direct_solve(dataset, config, max_dim=DIRECT_SOLVE_LIMIT):
         register(f"trend:{name}", cache.series.n_points)
         register(f"seasonal:{name}", cache.series.n_points)
     dim = position
-    if dim > max_dim:
-        raise ValueError(
-            f"stacked dimension {dim} exceeds the direct-solve bound "
-            f"{max_dim}"
-        )
 
     design = np.zeros((n, dim))
     rows = np.arange(n)
-    design[:, offsets["intercept"]] = 1.0
+    design[:, blocks["intercept"]] = 1.0
     for name, cache in problem.numerical.items():
-        design[rows, offsets[f"numerical:{name}"] + cache.inverse] = 1.0
+        design[rows, blocks[f"numerical:{name}"].start + cache.inverse] = 1.0
     if c:
         for m in range(problem.encoding.row_indices.shape[1]):
-            design[rows, offsets["categorical"]
+            design[rows, blocks["categorical"].start
                    + problem.encoding.row_indices[:, m]] = 1.0
     for name, cache in problem.temporal.items():
         back = cache.series.back_map
-        design[rows, offsets[f"trend:{name}"] + back] = 1.0
-        design[rows, offsets[f"seasonal:{name}"] + back] = 1.0
+        design[rows, blocks[f"trend:{name}"].start + back] = 1.0
+        design[rows, blocks[f"seasonal:{name}"].start + back] = 1.0
 
     hessian = design.T @ design
     rhs = design.T @ y
@@ -1174,18 +1090,17 @@ def normal_equation_direct_solve(dataset, config, max_dim=DIRECT_SOLVE_LIMIT):
         if penalty <= 0 or knots.size < 3:
             return
         d2 = second_difference_matrix(knots)
-        sl = slice(offsets[key], offsets[key] + sizes[key])
-        hessian[sl, sl] += penalty * (d2.T @ d2)
+        hessian[blocks[key], blocks[key]] += penalty * (d2.T @ d2)
 
     for name, cache in problem.numerical.items():
         add_penalty(f"numerical:{name}", cache.knots, config.smoothness)
     if c:
-        sl = slice(offsets["categorical"], offsets["categorical"] + c)
+        sl = blocks["categorical"]
         hessian[sl, sl] += config.categorical_ridge * np.eye(c)
     for name, cache in problem.temporal.items():
         times = cache.series.times.astype(float)
         add_penalty(f"trend:{name}", times, config.trend_smoothness)
-        sl_base = offsets[f"seasonal:{name}"]
+        sl_base = blocks[f"seasonal:{name}"].start
         for idx in cache.partition.phase_sets:
             if idx.size < 3:
                 continue
@@ -1198,22 +1113,17 @@ def normal_equation_direct_solve(dataset, config, max_dim=DIRECT_SOLVE_LIMIT):
     constraints = []
     for name, cache in problem.numerical.items():
         col = np.zeros(dim)
-        sl = slice(offsets[f"numerical:{name}"],
-                   offsets[f"numerical:{name}"] + sizes[f"numerical:{name}"])
-        col[sl] = cache.counts / n
+        col[blocks[f"numerical:{name}"]] = cache.counts / n
         constraints.append(col)
     for name, cache in problem.temporal.items():
         for key in (f"trend:{name}", f"seasonal:{name}"):
             col = np.zeros(dim)
-            sl = slice(offsets[key], offsets[key] + sizes[key])
-            col[sl] = cache.weights / n
+            col[blocks[key]] = cache.weights / n
             constraints.append(col)
         times = cache.series.times.astype(float)
         centered = times - np.average(times, weights=cache.weights)
         col = np.zeros(dim)
-        sl = slice(offsets[f"seasonal:{name}"],
-                   offsets[f"seasonal:{name}"] + sizes[f"seasonal:{name}"])
-        col[sl] = cache.weights * centered / n
+        col[blocks[f"seasonal:{name}"]] = cache.weights * centered / n
         constraints.append(col)
 
     n_constraints = len(constraints)
@@ -1234,17 +1144,15 @@ def normal_equation_direct_solve(dataset, config, max_dim=DIRECT_SOLVE_LIMIT):
     theta = solution[:dim]
     multipliers = solution[dim:]
 
-    intercept = float(theta[offsets["intercept"]])
+    intercept = float(theta[blocks["intercept"]][0])
     numerical_curves = {}
     numerical_fits = {}
     for name, cache in problem.numerical.items():
-        sl = slice(offsets[f"numerical:{name}"],
-                   offsets[f"numerical:{name}"] + sizes[f"numerical:{name}"])
-        curve = theta[sl]
+        curve = theta[blocks[f"numerical:{name}"]]
         numerical_curves[name] = curve
         numerical_fits[name] = curve[cache.inverse]
     if c:
-        beta = theta[offsets["categorical"]:offsets["categorical"] + c]
+        beta = theta[blocks["categorical"]]
         categorical_fit = problem.categorical_expand(beta)
     else:
         beta = np.zeros(0)
@@ -1255,14 +1163,10 @@ def normal_equation_direct_solve(dataset, config, max_dim=DIRECT_SOLVE_LIMIT):
     seasonal_fits = {}
     for name, cache in problem.temporal.items():
         back = cache.series.back_map
-        sl = slice(offsets[f"trend:{name}"],
-                   offsets[f"trend:{name}"] + sizes[f"trend:{name}"])
-        trend_curves[name] = theta[sl]
-        trend_fits[name] = theta[sl][back]
-        sl = slice(offsets[f"seasonal:{name}"],
-                   offsets[f"seasonal:{name}"] + sizes[f"seasonal:{name}"])
-        seasonal_curves[name] = theta[sl]
-        seasonal_fits[name] = theta[sl][back]
+        trend_curves[name] = theta[blocks[f"trend:{name}"]]
+        trend_fits[name] = trend_curves[name][back]
+        seasonal_curves[name] = theta[blocks[f"seasonal:{name}"]]
+        seasonal_fits[name] = seasonal_curves[name][back]
 
     fitted = design @ theta
     objective = float(np.sum((y - fitted) ** 2))

@@ -235,6 +235,43 @@ class TestExitCodes:
         assert rc == 3
         assert "pilot_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_cycles", 1.5),
+        ("max_cycles", "3"),
+        ("max_stage1_passes", 0),
+        ("max_inner_iterations", True),
+        ("outer_tol", float("nan")),
+        ("smoothness", float("inf")),
+        ("bandwidth_factor", 0),
+        ("sampling_gamma", "1"),
+        ("sampling", "no"),
+        ("dynamic_ordering", 1),
+        ("seed", -1),
+    ])
+    def test_bad_config_value_is_data_error(self, pipeline, tmp_path,
+                                            capsys, field, value):
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({field: value}))
+        rc = main([
+            "train", "--data", pipeline["data"], "--schema",
+            pipeline["schema"], "--out", str(tmp_path / "m.json"),
+            "--config", str(config_path), "--backend", "penalized",
+        ])
+        assert rc == 3
+        assert field in capsys.readouterr().err
+
+    def test_huge_gamma_caps_the_sample_at_the_data(self, pipeline,
+                                                    tmp_path):
+        out = tmp_path / "m.json"
+        rc = main([
+            "train", "--data", pipeline["data"], "--schema",
+            pipeline["schema"], "--out", str(out), "--gamma", "1e308",
+            "--sampling-threshold", "10", "--pilot-size", "10",
+        ])
+        assert rc == 0
+        sampling = deserialize(out.read_bytes()).diagnostics["sampling"]
+        assert sampling == {"sample_size": 1500, "pilot_size": 10}
+
     def test_unfactorable_numerical_smoother_exits_4(self, tmp_path,
                                                      capsys):
         # 5,000 uniform draws leave knot gaps near 1/n^2, and the banded

@@ -20,6 +20,12 @@ def run_demo(name):
     )
 
 
+def test_shape_recovery_demo():
+    done = run_demo("01_shape_recovery.py")
+    assert done.returncode == 0, done.stderr
+    assert "max curve error on the probe grid" in done.stdout
+
+
 def test_joint_categorical_demo():
     done = run_demo("02_joint_categorical.py")
     assert done.returncode == 0, done.stderr
@@ -30,3 +36,15 @@ def test_seasonal_trend_demo():
     done = run_demo("03_seasonal_trend.py")
     assert done.returncode == 0, done.stderr
     assert "trend slope" in done.stdout
+
+
+def test_fast_smoothing_demo():
+    done = run_demo("04_fast_smoothing.py")
+    assert done.returncode == 0, done.stderr
+    assert "accumulator updates" in done.stdout
+
+
+def test_cross_validation_demo():
+    done = run_demo("05_cross_validation.py")
+    assert done.returncode == 0, done.stderr
+    assert "mean cv rmse over noise floor" in done.stdout

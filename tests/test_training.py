@@ -7,8 +7,14 @@ import fxam.training
 from fxam.categorical import ConvergenceError, RidgeSystem, closed_form_ridge
 from fxam.data import Dataset
 from fxam.model import predict_batch
-from fxam.smoothers import second_difference_matrix, smoother_matrix
+from fxam.smoothers import (
+    default_bandwidth,
+    naive_kernel_smooth,
+    second_difference_matrix,
+    smoother_matrix,
+)
 from fxam.training import (
+    INIT_GRID_BINS,
     PilotEstimate,
     TemporalRule,
     TrainConfig,
@@ -26,6 +32,7 @@ from fxam.training import (
     stage3_temporal,
     tsi_train,
 )
+from fxam.training import _SampleSmoother
 
 
 def columns_of(dataset):
@@ -46,8 +53,8 @@ class TestPilotEstimates:
         x = np.random.default_rng(0).permutation(np.linspace(0, 10, 4000))
         residual = 2.0 * (x - x.mean())
         problem = pilot_problem(4000, x=x)
-        (pilot,), _ = pilot_estimates(problem, residual,
-                                      np.random.default_rng(0))
+        (pilot,), _, _ = pilot_estimates(problem, residual,
+                                         np.random.default_rng(0))
         # on an even design the kernel curve keeps the interior slope and
         # flattens only near the ends, so the steepest secant is the truth
         assert pilot.max_slope == pytest.approx(2.0, rel=1e-2)
@@ -61,7 +68,7 @@ class TestPilotEstimates:
         problem = pilot_problem(4000, x0=x0, x1=x1)
         first, second = pilot_estimates(problem, residual,
                                         np.random.default_rng(0))[0]
-        # no secant spans the seam from x0's grid to x1's
+        # each feature is smoothed on its own grid
         assert first.max_slope == pytest.approx(2.0, rel=1e-2)
         assert second.variance > 0.9 * np.var(residual)
 
@@ -69,13 +76,13 @@ class TestPilotEstimates:
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 10, 100)
         problem = pilot_problem(100, x=x)
-        (zero,), _ = pilot_estimates(problem, np.zeros(100),
-                                     np.random.default_rng(0))
+        (zero,), _, _ = pilot_estimates(problem, np.zeros(100),
+                                        np.random.default_rng(0))
         assert zero == PilotEstimate(variance=0.0, sup_squared=0.0,
                                      max_slope=0.0)
         # curves are centred, so a constant is all residual variance
-        (five,), _ = pilot_estimates(problem, np.full(100, 5.0),
-                                     np.random.default_rng(0))
+        (five,), _, _ = pilot_estimates(problem, np.full(100, 5.0),
+                                        np.random.default_rng(0))
         assert five.variance == pytest.approx(25.0)
         assert five.sup_squared == pytest.approx(0.0, abs=1e-20)
         assert five.max_slope == pytest.approx(0.0, abs=1e-10)
@@ -85,17 +92,46 @@ class TestPilotEstimates:
         x = rng.uniform(0, 10, 50)
         residual = np.sin(x)
         problem = pilot_problem(10_000, x=x)
-        full, smoother = pilot_estimates(problem, residual,
-                                         np.random.default_rng(1))
-        again, _ = pilot_estimates(problem, residual,
-                                   np.random.default_rng(99))
+        full, indices, _ = pilot_estimates(problem, residual,
+                                           np.random.default_rng(1))
+        again, _, _ = pilot_estimates(problem, residual,
+                                      np.random.default_rng(99))
         assert full == again
-        np.testing.assert_array_equal(smoother.indices, np.arange(50))
+        np.testing.assert_array_equal(indices, np.arange(50))
 
     def test_rejects_tiny_pilot(self):
         with pytest.raises(ValueError, match="pilot_size"):
             TrainConfig(pilot_size=9)
         assert TrainConfig(pilot_size=10).pilot_size == 10
+
+
+class TestSampleSmoother:
+    def test_sweep_matches_naive_kernel_oracle(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 10, 20_000)
+        target = np.sin(x) + rng.normal(0, 0.3, x.size)
+        cache = pilot_problem(2_000, x=x).numerical["x"]
+        indices = rng.choice(x.size, 2_000, replace=False)
+        xs, ys = x[indices], target[indices]
+        smoother = _SampleSmoother(cache, xs, 0.5)
+        curve, fitted = smoother.sweep(ys)
+
+        width = (x.max() - x.min()) / INIT_GRID_BINS
+        half = np.ceil(default_bandwidth(xs, 0.5) / width)
+        cells = np.minimum(((xs - x.min()) / width).astype(int),
+                           INIT_GRID_BINS - 1)
+        occupied, inverse, counts = np.unique(
+            cells, return_inverse=True, return_counts=True
+        )
+        # a 2,000-record sample leaves some of the 512 cells empty
+        assert occupied.size < INIT_GRID_BINS
+        centres = x.min() + (occupied + 0.5) * width
+        means = np.bincount(inverse, weights=ys) / counts
+        expected = naive_kernel_smooth(centres, means, half * width, counts)
+        expected -= counts @ expected / counts.sum()
+        np.testing.assert_allclose(smoother.centres, centres, rtol=1e-15)
+        np.testing.assert_allclose(curve, expected, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(fitted, curve[inverse])
 
 
 class TestEstimateSampleSize:
@@ -118,6 +154,14 @@ class TestEstimateSampleSize:
     def test_floor_applies(self):
         pilot = PilotEstimate(variance=0.0, sup_squared=0.0, max_slope=0.0)
         assert estimate_sample_size([pilot], gamma=1.0, floor=123) == 123
+
+    def test_limit_caps_an_overflowing_bound(self):
+        pilot = PilotEstimate(variance=1.0, sup_squared=4.0, max_slope=2.0)
+        # 1e308 * 10 is infinite; the cap keeps the size an integer
+        assert estimate_sample_size([pilot], gamma=1e308, floor=5,
+                                    limit=1_000) == 1_000
+        assert estimate_sample_size([pilot], gamma=1.0, floor=5,
+                                    limit=1_000) == 10
 
 
 def power_of(x, residual, max_slope, bandwidth):
