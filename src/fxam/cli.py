@@ -207,18 +207,18 @@ def _cmd_decompose(args):
     names = [args.feature] if args.feature else model.schema["temporal"]
     if not names:
         raise ValueError("the model has no temporal features")
-    rows = []
     for name in names:
         if name not in model.temporals:
             raise ValueError(f"unknown temporal feature '{name}'")
-        curves = model.temporals[name]
-        for t, value in zip(curves.trend.knots, curves.trend.values):
-            rows.append([name, "trend", "", repr(float(t)),
-                         repr(float(value))])
-        for phi, curve in enumerate(curves.seasonal_phases):
-            for t, value in zip(curve.knots, curve.values):
-                rows.append([name, "seasonal", phi, repr(float(t)),
-                             repr(float(value))])
+    # export_contributions lists each temporal feature's trend, then its
+    # seasonal phases, in schema order
+    rows = [
+        [row["feature"], row["component"], row["phase"], repr(row["x"]),
+         repr(row["value"])]
+        for row in export_contributions(model)
+        if row["component"] in ("trend", "seasonal")
+        and row["feature"] in names
+    ]
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["feature", "component", "phase", "time", "value"])

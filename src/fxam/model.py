@@ -101,31 +101,20 @@ class FxamModel:
 def predict(model, record):
     """Predict the response for one record (a name -> value mapping).
 
-    Unseen categorical values contribute zero (the ridge prior's mean).
+    The record is one row of :func:`predict_batch`, so both give the
+    same value and raise the same errors.  Unseen categorical values
+    contribute zero (the ridge prior's mean).
 
     Raises
     ------
     ValueError
         On a missing feature column or a non-finite numeric value.
     """
-    total = model.intercept
-    for name in model.schema["numerical"]:
-        if name not in record:
-            raise ValueError(f"missing required column '{name}'")
-        x = float(record[name])
-        if not np.isfinite(x):
-            raise ValueError(f"column '{name}': non-finite value")
-        total += evaluate_shape(model.shapes[name], x)
-    for name in model.schema["categorical"]:
-        if name not in record:
-            raise ValueError(f"missing required column '{name}'")
-        label = f"{name}{LABEL_SEPARATOR}{record[name]}"
-        total += model.betas.get(label, 0.0)
-    for name in model.schema["temporal"]:
-        if name not in record:
-            raise ValueError(f"missing required column '{name}'")
-        total += model.temporals[name].contribution(int(record[name]))
-    return float(total)
+    row = predict_batch(
+        model, {name: [value] for name, value in record.items()}
+    )
+    # a model without features has no column to size the batch
+    return float(row[0]) if row.size else float(model.intercept)
 
 
 def predict_batch(model, columns):

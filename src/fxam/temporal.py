@@ -71,7 +71,6 @@ class DecomposeConfig:
     # backend solves directly and reads neither
     tol_factor: float = 1e-6
     max_iterations: int = 50
-    track_objective: bool = False     # penalized: objective before/after
 
 
 @dataclass
@@ -249,7 +248,7 @@ def decompose(series, partition, residual, config=None, initial=None,
     -------
     TemporalComponents
         With ``objective_history`` holding the local penalized objective
-        before and after the solve (penalized backend, when tracked).
+        before and after the solve (penalized backend).
 
     Notes
     -----
@@ -311,9 +310,7 @@ def decompose(series, partition, residual, config=None, initial=None,
             seasonal=seasonal,
             iterations=1,
             converged=True,
-            objective_history=(
-                (before, after) if config.track_objective else ()
-            ),
+            objective_history=(before, after),
         )
 
     # kernel backend: projected sweeps
@@ -382,14 +379,22 @@ def decompose(series, partition, residual, config=None, initial=None,
 
 def _local_objective(series, partition, residual, trend, seasonal, config):
     """Weighted RSS plus both curvature penalties (penalized backend)."""
-    w = series.weights.astype(float)
-    times = series.times.astype(float)
     misfit = residual - trend - seasonal
-    value = float(np.sum(w * misfit * misfit))
-    value += config.trend_penalty * curvature_penalty(times, trend)
-    for idx in partition.phase_sets:
+    return _add_split_penalty(
+        float(np.sum(series.weights.astype(float) * misfit * misfit)),
+        series.times.astype(float), partition.phase_sets, trend, seasonal,
+        config.trend_penalty, config.seasonal_penalty,
+    )
+
+
+def _add_split_penalty(value, times, phase_sets, trend, seasonal,
+                       trend_penalty, seasonal_penalty):
+    """``value`` plus the trend's and every phase's seasonal curvature
+    penalty, added term by term in that order."""
+    value += trend_penalty * curvature_penalty(times, trend)
+    for idx in phase_sets:
         if idx.size:
-            value += config.seasonal_penalty * curvature_penalty(
+            value += seasonal_penalty * curvature_penalty(
                 times[idx], seasonal[idx]
             )
     return value

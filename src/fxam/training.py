@@ -9,8 +9,8 @@ above), and seasonal-trend partial learning per temporal feature
 backend); cycles repeat until the penalized objective stalls.  With the
 penalized backend every stage is an exact block minimization, so the
 objective is non-increasing and the fixed point solves the model's
-normal equations; a dense direct solver of that same system is included
-as the optimality oracle.
+normal equations; :mod:`fxam.oracle` checks that against a dense direct
+solve of the same system.
 
 Two Stage 1 accelerations are available: intelligent sampling (shape
 curves initialized from a subsample whose size
@@ -31,7 +31,6 @@ from numbers import Integral, Real
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded
 
 from .categorical import (
     CLOSED_FORM_LIMIT,
@@ -54,9 +53,13 @@ from .smoothers import (
     default_bandwidth,
     penalized_apply,
     penalized_factor,
-    second_difference_matrix,
 )
-from .temporal import DecomposeConfig, build_smoothers, decompose
+from .temporal import (
+    DecomposeConfig,
+    _add_split_penalty,
+    build_smoothers,
+    decompose,
+)
 
 BACKENDS = ("penalized", "fast-kernel")
 # TrainConfig's numeric fields: floats must be finite, counts integers
@@ -154,8 +157,7 @@ class PilotEstimate:
 
     ``variance`` is the residual variance around the pilot curve,
     ``sup_squared`` the largest squared curve value, and ``max_slope`` the
-    steepest secant between neighbouring populated cells of the pilot
-    grid.
+    steepest secant of the pilot curve over one smoothing window.
     """
 
     variance: float
@@ -186,9 +188,6 @@ class TrainState:
     stage1_passes: list = field(default_factory=list)     # per cycle
     stage3_sweeps: list = field(default_factory=list)     # per decompose
     stage3_converged: list = field(default_factory=list)  # per decompose
-
-    def fitted(self, y):
-        return y - self.residual
 
 
 class _NumericalCache:
@@ -285,7 +284,6 @@ class TrainingProblem:
             for name, col in dataset.numerical.items()
         }
         self.encoding = build_homogeneous_encoding(dataset)
-        self.gram = None
         self.gram_joint = None
         self.gram_joint_factor = None
         self.gram_joint_lambda_max = None
@@ -299,7 +297,9 @@ class TrainingProblem:
             # converges at the shrinking factor of that direction, which
             # approaches 1 as records grow); the augmented system keeps
             # the intercept unpenalized
-            counts = self._label_counts()
+            counts = np.bincount(
+                self.encoding.row_indices.ravel(), minlength=c
+            ).astype(float)
             if c + 1 <= CLOSED_FORM_LIMIT:
                 # [1 Z]'[1 Z] + diag(0, ridge*I) is positive definite for
                 # n > 0, so one Cholesky factor serves every cycle
@@ -308,7 +308,6 @@ class TrainingProblem:
                 joint[0, 1:] = counts
                 joint[1:, 0] = counts
                 joint[1:, 1:] = gram.toarray() if sp.issparse(gram) else gram
-                self.gram = joint[1:, 1:]
                 self.gram_joint = joint
                 try:
                     self.gram_joint_factor = sla.cho_factor(joint, lower=True)
@@ -319,7 +318,6 @@ class TrainingProblem:
                         f"{exc}"
                     ) from exc
             else:
-                self.gram = gram
                 self.gram_joint = sp.bmat(
                     [
                         [np.array([[float(self.n)]]), counts[None, :]],
@@ -341,12 +339,6 @@ class TrainingProblem:
             self.temporal[name] = _TemporalCache(
                 name, times, self.y, rule, config
             )
-
-    def _label_counts(self):
-        rows = self.encoding.row_indices
-        return np.bincount(
-            rows.ravel(), minlength=self.encoding.cardinality
-        ).astype(float)
 
     def joint_ridge_system(self, target):
         """Augmented (intercept, weights) system for a record-space target."""
@@ -596,24 +588,35 @@ def objective_value(problem, state, config=None):
     value = float(state.residual @ state.residual)
     if config.backend != "penalized":
         return value
+    return _add_penalties(
+        value, problem, config, state.numerical_curves, state.beta,
+        {name: (components.trend, components.seasonal)
+         for name, components in state.temporal_components.items()},
+    )
+
+
+def _add_penalties(value, problem, config, numerical_curves, beta, splits):
+    """``value`` plus every penalty of the model, added term by term.
+
+    The terms are each numerical curve's curvature, the categorical
+    ridge, and each temporal feature's trend and per-phase seasonal
+    curvature; ``splits`` maps temporal features, in declaration order,
+    to their (trend, seasonal) values on the compressed time points, and
+    a feature missing from it adds nothing.  Adding onto ``value`` in this
+    fixed order keeps every caller's objective bit-identical.
+    """
     for name, cache in problem.numerical.items():
         value += config.smoothness * curvature_penalty(
-            cache.knots, state.numerical_curves[name]
+            cache.knots, numerical_curves[name]
         )
-    value += config.categorical_ridge * float(state.beta @ state.beta)
-    for name, cache in problem.temporal.items():
-        components = state.temporal_components.get(name)
-        if components is None:
-            continue
-        times = cache.series.times.astype(float)
-        value += config.trend_smoothness * curvature_penalty(
-            times, components.trend
+    value += config.categorical_ridge * float(beta @ beta)
+    for name, (trend, seasonal) in splits.items():
+        cache = problem.temporal[name]
+        value = _add_split_penalty(
+            value, cache.series.times.astype(float),
+            cache.partition.phase_sets, trend, seasonal,
+            config.trend_smoothness, config.seasonal_smoothness,
         )
-        for idx in cache.partition.phase_sets:
-            if idx.size:
-                value += config.seasonal_smoothness * curvature_penalty(
-                    times[idx], components.seasonal[idx]
-                )
     return value
 
 
@@ -627,8 +630,8 @@ class _SampleSmoother:
     feature's knot range (binned kernel regression: the cell width is far
     below the subsample bandwidth, so the estimator is unchanged).  The
     populated cells, weighted by their record counts, are the knots of a
-    :class:`KernelSmootherPlan` whose window is the bandwidth rounded up
-    to whole cells.
+    :class:`KernelSmootherPlan` whose window, ``bandwidth``, is the
+    subsample's bandwidth rounded up to whole cells.
     """
 
     def __init__(self, cache, xs, bandwidth_factor):
@@ -646,8 +649,9 @@ class _SampleSmoother:
         self.cells = (np.cumsum(populated) - 1)[codes]
         self.counts = counts[populated].astype(float)
         self.centres = lo + (np.flatnonzero(populated) + 0.5) * width
+        self.bandwidth = half * width
         self.plan = KernelSmootherPlan(
-            self.centres, half * width, self.counts, dtype=np.float64
+            self.centres, self.bandwidth, self.counts, dtype=np.float64
         )
 
     def sweep(self, target):
@@ -674,9 +678,10 @@ def pilot_estimates(problem, residual, rng, config=None):
     order, when the pilot covers the data), smooths every numerical
     feature against ``residual`` on them, and reports per feature, in
     ``problem.numerical`` order, the residual variance around its pilot
-    curve, the largest squared curve value, and the steepest secant
-    between neighbouring populated grid cells.  Returns the estimates,
-    the pilot record indices and the per-feature pilot smoothers.
+    curve, the largest squared curve value, and the steepest secant from
+    a cell centre to the curve one bandwidth on (a neighbouring cell's
+    few records would overstate the slope).  Returns the estimates, the
+    pilot record indices and the per-feature pilot smoothers.
     """
     config = config or problem.config
     n = problem.n
@@ -690,11 +695,12 @@ def pilot_estimates(problem, residual, rng, config=None):
     pilots = []
     for smoother in smoothers:
         curve, fitted = smoother.sweep(target)
-        slopes = np.abs(np.diff(curve) / np.diff(smoother.centres))
+        reach = smoother.bandwidth
+        ahead = np.interp(smoother.centres + reach, smoother.centres, curve)
         pilots.append(PilotEstimate(
             variance=float(np.mean((target - fitted) ** 2)),
             sup_squared=float(np.max(curve * curve)),
-            max_slope=float(slopes.max(initial=0.0)),
+            max_slope=float(np.max(np.abs(ahead - curve))) / reach,
         ))
     return pilots, indices, smoothers
 
@@ -888,314 +894,4 @@ def _build_model(problem, state, config, timings, sampling_info):
         temporals=temporals,
         schema=schema,
         diagnostics=diagnostics,
-    )
-
-
-# --- normal-equation diagnostics and the direct oracle ----------------------
-
-RESIDUAL_SUPPORT_LIMIT = 2000
-DIRECT_SOLVE_LIMIT = 5000
-
-
-def _record_smoother(cache, penalty):
-    """Dense record-space smoother E (W + penalty K)^-1 E' for one block."""
-    knots = cache["knots"]
-    weights = cache["weights"]
-    inverse = cache["inverse"]
-    n_records = inverse.size
-    basis = np.zeros((knots.size, n_records))
-    basis[inverse, np.arange(n_records)] = 1.0
-    if knots.size > 2 and penalty > 0:
-        factor = penalized_factor(knots, penalty, weights)
-        solved = cho_solve_banded((factor, False), basis)
-    else:
-        solved = basis / weights[:, None]
-    return solved[inverse, :]
-
-
-def normal_equation_residuals(problem, state, config=None,
-                              max_records=RESIDUAL_SUPPORT_LIMIT):
-    """Inf-norm violation of each block's stationarity equation.
-
-    For every component j this measures
-    ``|| f_j - M_j (y - everything_else) ||_inf`` with the explicit dense
-    record-space smoother matrix M_j; all blocks are small exactly when
-    training has converged.  Penalized backend and test scale only.
-    """
-    config = config or problem.config
-    if config.backend != "penalized":
-        raise ValueError("normal-equation diagnostics need the penalized "
-                         "backend")
-    if problem.n > max_records:
-        raise ValueError(
-            f"normal_equation_residuals is test support only; n={problem.n} "
-            f"exceeds {max_records}"
-        )
-    y = problem.y
-    total = np.full(problem.n, state.intercept)
-    for fit in state.numerical_fits.values():
-        total += fit
-    total += state.categorical_fit
-    for name in problem.temporal:
-        total += state.trend_fits[name] + state.seasonal_fits[name]
-
-    residuals = {}
-
-    # intercept block: its "smoother" is the mean
-    target = y - (total - state.intercept)
-    residuals["intercept"] = abs(state.intercept - float(target.mean()))
-
-    for name, cache in problem.numerical.items():
-        block = {
-            "knots": cache.knots, "weights": cache.counts,
-            "inverse": cache.inverse,
-        }
-        matrix = _record_smoother(block, config.smoothness)
-        fit = state.numerical_fits[name]
-        target = y - (total - fit)
-        residuals[f"numerical:{name}"] = float(
-            np.max(np.abs(fit - matrix @ target))
-        )
-
-    if problem.encoding.cardinality:
-        fit = state.categorical_fit
-        target = y - (total - fit)
-        rhs = problem.categorical_rhs(target)
-        gram = problem.gram
-        dense = gram.toarray() if hasattr(gram, "toarray") else gram
-        beta_star = np.linalg.solve(dense, rhs)
-        residuals["categorical"] = float(
-            np.max(np.abs(fit - problem.categorical_expand(beta_star)))
-        )
-
-    for name, cache in problem.temporal.items():
-        times = cache.series.times.astype(float)
-        back = cache.series.back_map
-        fit = state.trend_fits[name]
-        block = {"knots": times, "weights": cache.weights, "inverse": back}
-        matrix = _record_smoother(block, config.trend_smoothness)
-        target = y - (total - fit)
-        residuals[f"trend:{name}"] = float(
-            np.max(np.abs(fit - matrix @ target))
-        )
-
-        fit = state.seasonal_fits[name]
-        target = y - (total - fit)
-        applied = np.zeros(problem.n)
-        for idx in cache.partition.phase_sets:
-            if idx.size == 0:
-                continue
-            members = np.isin(back, idx)
-            sub_inverse = np.searchsorted(idx, back[members])
-            block = {
-                "knots": times[idx],
-                "weights": cache.weights[idx],
-                "inverse": sub_inverse,
-            }
-            applied[members] = (
-                _record_smoother(block, config.seasonal_smoothness)
-                @ target[members]
-            )
-        residuals[f"seasonal:{name}"] = float(np.max(np.abs(fit - applied)))
-    return residuals
-
-
-@dataclass
-class DirectSolution:
-    """Output of the dense global solve, aligned with TrainState fields."""
-
-    intercept: float
-    numerical_curves: dict
-    numerical_fits: dict
-    beta: np.ndarray
-    categorical_fit: np.ndarray
-    trend_curves: dict
-    trend_fits: dict
-    seasonal_curves: dict
-    seasonal_fits: dict
-    objective: float
-    multipliers: np.ndarray
-
-
-def normal_equation_direct_solve(dataset, config, max_dim=DIRECT_SOLVE_LIMIT):
-    """Solve the stacked stationarity system in one dense linear solve.
-
-    Assembles the penalized least-squares problem over compressed
-    coordinates (intercept, knot curves, categorical weights, trend and
-    seasonal time curves), pins the degenerate constant/linear directions
-    with the same mean and drift conventions the iterative trainer uses,
-    and solves the resulting KKT system.  The constraints only select a
-    member of the optimal family, so the multipliers come back at zero
-    and the solution satisfies the unconstrained normal equations.
-
-    Test-scale oracle: refuses stacked dimension above ``max_dim``.
-    """
-    if config.backend != "penalized":
-        raise ValueError("the direct solve needs the penalized backend")
-    projected = 1 + sum(
-        np.unique(col).size for col in dataset.numerical.values()
-    )
-    projected += sum(
-        np.unique(col).size for col in dataset.categorical.values()
-    )
-    projected += 2 * sum(
-        np.unique(col).size for col in dataset.temporal.values()
-    )
-    if projected > max_dim:
-        raise ValueError(
-            f"stacked dimension {projected} exceeds the direct-solve bound "
-            f"{max_dim}"
-        )
-    problem = TrainingProblem(dataset, config)
-    n = problem.n
-    y = problem.y
-
-    blocks = {}  # key -> slice of the stacked coordinates
-    position = 0
-
-    def register(key, size):
-        nonlocal position
-        blocks[key] = slice(position, position + size)
-        position += size
-
-    register("intercept", 1)
-    for name, cache in problem.numerical.items():
-        register(f"numerical:{name}", cache.knots.size)
-    c = problem.encoding.cardinality
-    if c:
-        register("categorical", c)
-    for name, cache in problem.temporal.items():
-        register(f"trend:{name}", cache.series.n_points)
-        register(f"seasonal:{name}", cache.series.n_points)
-    dim = position
-
-    design = np.zeros((n, dim))
-    rows = np.arange(n)
-    design[:, blocks["intercept"]] = 1.0
-    for name, cache in problem.numerical.items():
-        design[rows, blocks[f"numerical:{name}"].start + cache.inverse] = 1.0
-    if c:
-        for m in range(problem.encoding.row_indices.shape[1]):
-            design[rows, blocks["categorical"].start
-                   + problem.encoding.row_indices[:, m]] = 1.0
-    for name, cache in problem.temporal.items():
-        back = cache.series.back_map
-        design[rows, blocks[f"trend:{name}"].start + back] = 1.0
-        design[rows, blocks[f"seasonal:{name}"].start + back] = 1.0
-
-    hessian = design.T @ design
-    rhs = design.T @ y
-
-    def add_penalty(key, knots, penalty):
-        if penalty <= 0 or knots.size < 3:
-            return
-        d2 = second_difference_matrix(knots)
-        hessian[blocks[key], blocks[key]] += penalty * (d2.T @ d2)
-
-    for name, cache in problem.numerical.items():
-        add_penalty(f"numerical:{name}", cache.knots, config.smoothness)
-    if c:
-        sl = blocks["categorical"]
-        hessian[sl, sl] += config.categorical_ridge * np.eye(c)
-    for name, cache in problem.temporal.items():
-        times = cache.series.times.astype(float)
-        add_penalty(f"trend:{name}", times, config.trend_smoothness)
-        sl_base = blocks[f"seasonal:{name}"].start
-        for idx in cache.partition.phase_sets:
-            if idx.size < 3:
-                continue
-            d2 = second_difference_matrix(times[idx])
-            block = config.seasonal_smoothness * (d2.T @ d2)
-            hessian[np.ix_(sl_base + idx, sl_base + idx)] += block
-
-    # identifiability: record-mean zero per smoothing block, and no
-    # weighted linear drift in any seasonal component
-    constraints = []
-    for name, cache in problem.numerical.items():
-        col = np.zeros(dim)
-        col[blocks[f"numerical:{name}"]] = cache.counts / n
-        constraints.append(col)
-    for name, cache in problem.temporal.items():
-        for key in (f"trend:{name}", f"seasonal:{name}"):
-            col = np.zeros(dim)
-            col[blocks[key]] = cache.weights / n
-            constraints.append(col)
-        times = cache.series.times.astype(float)
-        centered = times - np.average(times, weights=cache.weights)
-        col = np.zeros(dim)
-        col[blocks[f"seasonal:{name}"]] = cache.weights * centered / n
-        constraints.append(col)
-
-    n_constraints = len(constraints)
-    kkt = np.zeros((dim + n_constraints, dim + n_constraints))
-    kkt[:dim, :dim] = hessian
-    if n_constraints:
-        cmat = np.stack(constraints, axis=1)
-        kkt[:dim, dim:] = cmat
-        kkt[dim:, :dim] = cmat.T
-    full_rhs = np.concatenate([rhs, np.zeros(n_constraints)])
-    lu = sla.lu_factor(kkt)
-    solution = sla.lu_solve(lu, full_rhs)
-    # two rounds of iterative refinement: the curvature penalties can make
-    # the system stiff, and the oracle should be the accurate side
-    for _ in range(2):
-        defect = full_rhs - kkt @ solution
-        solution = solution + sla.lu_solve(lu, defect)
-    theta = solution[:dim]
-    multipliers = solution[dim:]
-
-    intercept = float(theta[blocks["intercept"]][0])
-    numerical_curves = {}
-    numerical_fits = {}
-    for name, cache in problem.numerical.items():
-        curve = theta[blocks[f"numerical:{name}"]]
-        numerical_curves[name] = curve
-        numerical_fits[name] = curve[cache.inverse]
-    if c:
-        beta = theta[blocks["categorical"]]
-        categorical_fit = problem.categorical_expand(beta)
-    else:
-        beta = np.zeros(0)
-        categorical_fit = np.zeros(n)
-    trend_curves = {}
-    trend_fits = {}
-    seasonal_curves = {}
-    seasonal_fits = {}
-    for name, cache in problem.temporal.items():
-        back = cache.series.back_map
-        trend_curves[name] = theta[blocks[f"trend:{name}"]]
-        trend_fits[name] = trend_curves[name][back]
-        seasonal_curves[name] = theta[blocks[f"seasonal:{name}"]]
-        seasonal_fits[name] = seasonal_curves[name][back]
-
-    fitted = design @ theta
-    objective = float(np.sum((y - fitted) ** 2))
-    for name, cache in problem.numerical.items():
-        objective += config.smoothness * curvature_penalty(
-            cache.knots, numerical_curves[name]
-        )
-    objective += config.categorical_ridge * float(beta @ beta)
-    for name, cache in problem.temporal.items():
-        times = cache.series.times.astype(float)
-        objective += config.trend_smoothness * curvature_penalty(
-            times, trend_curves[name]
-        )
-        for idx in cache.partition.phase_sets:
-            if idx.size:
-                objective += config.seasonal_smoothness * curvature_penalty(
-                    times[idx], seasonal_curves[name][idx]
-                )
-
-    return DirectSolution(
-        intercept=intercept,
-        numerical_curves=numerical_curves,
-        numerical_fits=numerical_fits,
-        beta=beta,
-        categorical_fit=categorical_fit,
-        trend_curves=trend_curves,
-        trend_fits=trend_fits,
-        seasonal_curves=seasonal_curves,
-        seasonal_fits=seasonal_fits,
-        objective=objective,
-        multipliers=multipliers,
     )

@@ -17,6 +17,7 @@ from conftest import make_toy_dataset, tight_toy_config
 from fxam.categorical import closed_form_ridge, gram_assemble, nga_ridge_solve
 from fxam.evaluation import run_experiment
 from fxam.model import predict_batch
+from fxam.oracle import normal_equation_direct_solve
 from fxam.smoothers import (
     fast_kernel_smooth,
     naive_kernel_smooth,
@@ -27,7 +28,6 @@ from fxam.training import (
     TemporalRule,
     TrainConfig,
     TrainingProblem,
-    normal_equation_direct_solve,
     tsi_train,
 )
 

@@ -48,3 +48,13 @@ def test_cross_validation_demo():
     done = run_demo("05_cross_validation.py")
     assert done.returncode == 0, done.stderr
     assert "mean cv rmse over noise floor" in done.stdout
+
+
+def test_readme_quick_start_runs():
+    # the documented imports must keep resolving from the package
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["predictions"].shape == (1,)

@@ -92,7 +92,14 @@ class TestPredict:
         # row-by-row predict agrees with the vectorized path
         for i in (0, 7, 150):
             record = {name: columns[name][i] for name in columns}
-            assert predict(model, record) == pytest.approx(batch[i])
+            assert predict(model, record) == batch[i]
+
+    def test_model_without_features_predicts_intercept(self):
+        model = FxamModel(
+            intercept=2.5, shapes={}, betas={}, temporals={},
+            schema={"numerical": [], "categorical": [], "temporal": []},
+        )
+        assert predict(model, {}) == 2.5
 
     def test_temporal_divisibility_enforced(self):
         curves = TemporalCurves(

@@ -84,7 +84,6 @@ class TestDecompose:
         series, partition = make_series(times, values)
         config = DecomposeConfig(
             trend_penalty=20.0, seasonal_penalty=20.0, max_iterations=40,
-            track_objective=True,
         )
         components = decompose(series, partition, series.values, config)
         history = np.array(components.objective_history)
@@ -363,8 +362,7 @@ class TestAcceleratedPenalized:
         times, values = _seasonal_series(31, 90, 6)
         series, partition = make_series(times, values, period=6)
         config = DecomposeConfig(trend_penalty=30.0, seasonal_penalty=10.0,
-                                 tol_factor=1e-10, max_iterations=5000,
-                                 track_objective=True)
+                                 tol_factor=1e-10, max_iterations=5000)
         components = decompose(series, partition, series.values, config)
         assert components.converged
         trend, seasonal = bordered_fixed_point(series, partition,
@@ -381,8 +379,7 @@ class TestAcceleratedPenalized:
         # warm start is kept, and the call still counts as one sweep
         times, values = _seasonal_series(37, 60, 5)
         series, partition = make_series(times, values, period=5)
-        config = DecomposeConfig(trend_penalty=30.0, seasonal_penalty=10.0,
-                                 track_objective=True)
+        config = DecomposeConfig(trend_penalty=30.0, seasonal_penalty=10.0)
         warm = decompose(series, partition, series.values, config)
         rising = iter(range(1_000))
         monkeypatch.setattr(fxam.temporal, "_local_objective",
@@ -493,7 +490,7 @@ class TestSplitFactor:
 
     def test_direct_call_reports_one_converged_sweep(self):
         series, partition = _daily_series(43, records=5_000, days=120)
-        config = DecomposeConfig(track_objective=True)
+        config = DecomposeConfig()
         components = decompose(series, partition, series.values, config)
         assert components.iterations == 1
         assert components.converged

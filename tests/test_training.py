@@ -7,6 +7,7 @@ import fxam.training
 from fxam.categorical import ConvergenceError, RidgeSystem, closed_form_ridge
 from fxam.data import Dataset
 from fxam.model import predict_batch
+from fxam.oracle import normal_equation_direct_solve, normal_equation_residuals
 from fxam.smoothers import (
     default_bandwidth,
     naive_kernel_smooth,
@@ -21,8 +22,6 @@ from fxam.training import (
     TrainingProblem,
     estimate_sample_size,
     initial_state,
-    normal_equation_direct_solve,
-    normal_equation_residuals,
     objective_value,
     order_features,
     pilot_estimates,
@@ -71,6 +70,20 @@ class TestPilotEstimates:
         # each feature is smoothed on its own grid
         assert first.max_slope == pytest.approx(2.0, rel=1e-2)
         assert second.variance > 0.9 * np.var(residual)
+
+    @pytest.mark.parametrize("pilot_size, bound", [(1_000, 0.12),
+                                                   (10_000, 0.06)])
+    def test_slope_of_sparse_pilot_grid(self, pilot_size, bound):
+        # a pilot of a few records per grid cell: secants between
+        # neighbouring cells follow the noise of each cell mean, while
+        # one over a smoothing window stays near the true slope
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = rng.uniform(0, 10, 50_000)
+            problem = pilot_problem(pilot_size, x=x)
+            (pilot,), _, _ = pilot_estimates(problem, 2.0 * (x - x.mean()),
+                                             np.random.default_rng(seed))
+            assert pilot.max_slope == pytest.approx(2.0, rel=bound)
 
     def test_constant_target(self):
         rng = np.random.default_rng(1)
@@ -305,6 +318,22 @@ class TestStage1:
         residual = state.residual.copy()
         state = stage1_backfit(problem, state)
         np.testing.assert_array_equal(state.residual, residual)
+
+    def test_kernel_smoother_matches_naive_oracle(self):
+        # the float64 plan that stage 1 runs, on continuous knots with
+        # integer record counts; pointwise relative error is not gated,
+        # because it grows wherever the curve crosses zero
+        rng = np.random.default_rng(8)
+        knots = rng.uniform(0, 10, 40_000)
+        x = np.repeat(knots, rng.integers(1, 4, knots.size))
+        ds = Dataset(response=np.zeros(x.size), numerical={"x": x})
+        cache = TrainingProblem(ds, TrainConfig()).numerical["x"]
+        assert cache.knots.size == knots.size
+        target = np.sin(cache.knots) + rng.normal(0, 0.3, knots.size)
+        expected = naive_kernel_smooth(cache.knots, target, cache.bandwidth,
+                                       cache.counts)
+        error = np.max(np.abs(cache.smooth(target) - expected))
+        assert error <= 1e-10 * np.std(target)
 
     def test_components_have_mean_zero(self):
         ds = numerical_only_dataset(3, n=200, p=3)
