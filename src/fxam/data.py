@@ -68,6 +68,13 @@ class Dataset:
                 raise ValueError(f"column '{name}': non-finite values")
         categorical = {}
         for name, col in self.categorical.items():
+            if LABEL_SEPARATOR in name:
+                # feature "a" with value "b=c" and feature "a=b" with
+                # value "c" would share the label "a=b=c" and its weight
+                raise ValueError(
+                    f"column '{name}': a categorical feature name may not "
+                    f"contain '{LABEL_SEPARATOR}'"
+                )
             labels = np.asarray(col)
             categorical[name] = labels
             if labels.shape != (n,):
@@ -80,19 +87,8 @@ class Dataset:
                 )
         temporal = {}
         for name, col in self.temporal.items():
-            arr = np.asarray(col)
-            if not np.issubdtype(arr.dtype, np.integer):
-                flt = np.asarray(col, dtype=float)
-                if not np.all(np.isfinite(flt)):
-                    raise ValueError(f"column '{name}': non-finite values")
-                if np.any(flt != np.round(flt)):
-                    raise ValueError(
-                        f"column '{name}': temporal values must be integers "
-                        "in units of tau"
-                    )
-                arr = flt.astype(np.int64)
-            temporal[name] = arr.astype(np.int64)
-            if arr.shape != (n,):
+            temporal[name] = integer_times(col, name)
+            if temporal[name].shape != (n,):
                 raise ValueError(f"column '{name}': length mismatch")
         object.__setattr__(self, "numerical", numerical)
         object.__setattr__(self, "categorical", categorical)
@@ -107,6 +103,28 @@ class Dataset:
         return (
             list(self.numerical) + list(self.categorical) + list(self.temporal)
         )
+
+
+def integer_times(column, name):
+    """A temporal column as int64, refusing non-finite or fractional values.
+
+    Raises
+    ------
+    ValueError
+        Naming the column.
+    """
+    arr = np.asarray(column)
+    if np.issubdtype(arr.dtype, np.integer):
+        return arr.astype(np.int64)
+    flt = np.asarray(column, dtype=float)
+    if not np.all(np.isfinite(flt)):
+        raise ValueError(f"column '{name}': non-finite values")
+    if np.any(flt != np.round(flt)):
+        raise ValueError(
+            f"column '{name}': temporal values must be integers in units "
+            "of tau"
+        )
+    return flt.astype(np.int64)
 
 
 def _nul_record(column):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LABEL_SEPARATOR
+from .data import LABEL_SEPARATOR, integer_times
 
 FORMAT_VERSION = "fxam-model/1"
 
@@ -43,13 +43,6 @@ class ShapeCurve:
         return self.knots.size == 0
 
 
-def evaluate_shape(curve, x):
-    """Curve value at x: linear interpolation, clamped at the boundary."""
-    if curve.is_empty:
-        raise ValueError("cannot evaluate an empty curve")
-    return float(np.interp(float(x), curve.knots, curve.values))
-
-
 @dataclass(frozen=True)
 class TemporalCurves:
     """Deployable form of one temporal feature's components."""
@@ -58,19 +51,6 @@ class TemporalCurves:
     period: int
     trend: ShapeCurve
     seasonal_phases: tuple  # of ShapeCurve, length == period
-
-    def contribution(self, t):
-        """Trend plus seasonal value at integer time t (units of tau)."""
-        if t % self.tau != 0:
-            raise ValueError(
-                f"time {t} is not divisible by tau={self.tau}"
-            )
-        value = evaluate_shape(self.trend, t)
-        phase = int((t // self.tau) % self.period)
-        curve = self.seasonal_phases[phase]
-        if not curve.is_empty:
-            value += evaluate_shape(curve, t)
-        return value
 
 
 @dataclass(frozen=True)
@@ -104,11 +84,6 @@ def predict(model, record):
     The record is one row of :func:`predict_batch`, so both give the
     same value and raise the same errors.  Unseen categorical values
     contribute zero (the ridge prior's mean).
-
-    Raises
-    ------
-    ValueError
-        On a missing feature column or a non-finite numeric value.
     """
     row = predict_batch(
         model, {name: [value] for name, value in record.items()}
@@ -118,26 +93,43 @@ def predict(model, record):
 
 
 def predict_batch(model, columns):
-    """Vectorized prediction over column arrays (name -> ndarray)."""
+    """Vectorized prediction over column arrays (name -> 1-d array).
+
+    Every column must be as long as the first.  Numerical values must be
+    finite, and temporal values finite integers divisible by the
+    feature's tau.  Curves are interpolated linearly between knots and
+    clamped outside them; an empty seasonal phase contributes zero.
+
+    Raises
+    ------
+    ValueError
+        Naming the column, on a missing, misshapen or invalid column.
+    """
     names = (
         model.schema["numerical"]
         + model.schema["categorical"]
         + model.schema["temporal"]
     )
+    arrays = {}
     for name in names:
         if name not in columns:
             raise ValueError(f"missing required column '{name}'")
-    n = len(np.asarray(columns[names[0]])) if names else 0
+        arrays[name] = np.asarray(columns[name])
+    n = arrays[names[0]].size if names else 0
+    for name, col in arrays.items():
+        if col.shape != (n,):
+            raise ValueError(
+                f"column '{name}': expected {n} values, got shape "
+                f"{col.shape}"
+            )
     total = np.full(n, model.intercept)
     for name in model.schema["numerical"]:
-        x = np.asarray(columns[name], dtype=float)
+        x = np.asarray(arrays[name], dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError(f"column '{name}': non-finite value")
-        curve = model.shapes[name]
-        total += np.interp(x, curve.knots, curve.values)
+        total += _interp(name, x, model.shapes[name])
     for name in model.schema["categorical"]:
-        col = np.asarray(columns[name])
-        uniq, inverse = np.unique(col, return_inverse=True)
+        uniq, inverse = np.unique(arrays[name], return_inverse=True)
         weights = np.array([
             model.betas.get(f"{name}{LABEL_SEPARATOR}{v}", 0.0)
             for v in uniq
@@ -145,90 +137,64 @@ def predict_batch(model, columns):
         total += weights[inverse]
     for name in model.schema["temporal"]:
         tc = model.temporals[name]
-        t = np.asarray(columns[name], dtype=np.int64)
+        t = integer_times(arrays[name], name)
         if np.any(t % tc.tau != 0):
             bad = t[t % tc.tau != 0][0]
             raise ValueError(
                 f"column '{name}': time {bad} is not divisible by "
                 f"tau={tc.tau}"
             )
-        total += np.interp(t.astype(float), tc.trend.knots, tc.trend.values)
+        times = t.astype(float)
+        total += _interp(name, times, tc.trend)
         phases = (t // tc.tau) % tc.period
-        for phi in range(tc.period):
-            mask = phases == phi
-            if not np.any(mask):
-                continue
-            curve = tc.seasonal_phases[phi]
-            if curve.is_empty:
-                continue
-            total[mask] += np.interp(
-                t[mask].astype(float), curve.knots, curve.values
-            )
+        for phi, curve in enumerate(tc.seasonal_phases):
+            if not curve.is_empty:
+                mask = phases == phi
+                total[mask] += np.interp(times[mask], curve.knots, curve.values)
     return total
 
 
+def _interp(name, x, curve):
+    if curve.is_empty:
+        raise ValueError(f"feature '{name}': cannot evaluate an empty curve")
+    return np.interp(x, curve.knots, curve.values)
+
+
 # --- serialization ---------------------------------------------------------
-#
-# All floats are encoded as repr() strings: decimal shortest-round-trip
-# text, so deserialize(serialize(m)) is bit-faithful on every numeric
-# field.
+# Numbers are JSON numbers: json writes a float as its shortest round-trip
+# decimal and reads it back correctly rounded, so the round trip is
+# bit-faithful.  Files that quoted each number as a repr() string load
+# through the same float conversion.
 
-def _encode_floats(obj):
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, (np.floating,)):
-        return repr(float(obj))
-    # bool before int: bool is a subclass of int
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_encode_floats(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_encode_floats(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _encode_floats(v) for k, v in obj.items()}
-    return obj
-
-
-def _decode_floats(obj):
-    if isinstance(obj, str):
-        try:
-            return float(obj)
-        except ValueError:
-            return obj
-    if isinstance(obj, list):
-        return [_decode_floats(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _decode_floats(v) for k, v in obj.items()}
-    return obj
+def _plain(obj):
+    """``json.dumps`` hook: numpy scalars and arrays as plain values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _curve_payload(curve):
-    return {
-        "knots": [repr(float(v)) for v in curve.knots],
-        "values": [repr(float(v)) for v in curve.values],
-    }
+    return {"knots": curve.knots.tolist(), "values": curve.values.tolist()}
 
 
 def _curve_from_payload(payload):
-    return ShapeCurve(
-        knots=np.array([float(v) for v in payload["knots"]], dtype=float),
-        values=np.array([float(v) for v in payload["values"]], dtype=float),
-    )
+    # ShapeCurve converts numbers and repr() strings alike to float64
+    return ShapeCurve(payload["knots"], payload["values"])
 
 
 def serialize(model):
-    """Versioned JSON bytes for a trained model."""
+    """Versioned JSON bytes for a trained model.
+
+    Raises ``ValueError`` if any number is not finite.
+    """
     doc = {
         "version": FORMAT_VERSION,
         "schema": model.schema,
-        "intercept": repr(float(model.intercept)),
+        "intercept": float(model.intercept),
         "shapes": {
             name: _curve_payload(curve) for name, curve in model.shapes.items()
         },
-        "betas": {label: repr(float(b)) for label, b in model.betas.items()},
+        "betas": {label: float(b) for label, b in model.betas.items()},
         "temporals": {
             name: {
                 "tau": int(tc.tau),
@@ -240,10 +206,12 @@ def serialize(model):
             }
             for name, tc in model.temporals.items()
         },
-        "diagnostics": _encode_floats(model.diagnostics),
+        "diagnostics": model.diagnostics,
     }
     # compact separators keep json on its C encoder, which indent= disables
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return json.dumps(
+        doc, separators=(",", ":"), allow_nan=False, default=_plain
+    ).encode("utf-8")
 
 
 def deserialize(payload):
@@ -282,12 +250,10 @@ def deserialize(payload):
                 name: _curve_from_payload(c)
                 for name, c in doc["shapes"].items()
             },
-            betas={
-                label: float(b) for label, b in doc["betas"].items()
-            },
+            betas={label: float(b) for label, b in doc["betas"].items()},
             temporals=temporals,
             schema=doc["schema"],
-            diagnostics=_decode_floats(doc.get("diagnostics", {})),
+            diagnostics=doc.get("diagnostics", {}),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model payload: {exc}") from exc
@@ -300,14 +266,16 @@ def export_contributions(model):
     trend, seasonal), ``feature``, ``phase`` (seasonal rows only), ``x``
     (knot, value label, or time), and ``value``.
     """
+    def curve_rows(component, feature, curve, phase=""):
+        return [
+            {"component": component, "feature": feature, "phase": phase,
+             "x": knot, "value": value}
+            for knot, value in zip(curve.knots.tolist(), curve.values.tolist())
+        ]
+
     rows = []
     for name in model.schema["numerical"]:
-        curve = model.shapes[name]
-        for knot, value in zip(curve.knots, curve.values):
-            rows.append({
-                "component": "shape", "feature": name, "phase": "",
-                "x": float(knot), "value": float(value),
-            })
+        rows += curve_rows("shape", name, model.shapes[name])
     for label, beta in model.betas.items():
         feature, _, value_label = label.partition(LABEL_SEPARATOR)
         rows.append({
@@ -316,15 +284,7 @@ def export_contributions(model):
         })
     for name in model.schema["temporal"]:
         tc = model.temporals[name]
-        for knot, value in zip(tc.trend.knots, tc.trend.values):
-            rows.append({
-                "component": "trend", "feature": name, "phase": "",
-                "x": float(knot), "value": float(value),
-            })
+        rows += curve_rows("trend", name, tc.trend)
         for phi, curve in enumerate(tc.seasonal_phases):
-            for knot, value in zip(curve.knots, curve.values):
-                rows.append({
-                    "component": "seasonal", "feature": name, "phase": phi,
-                    "x": float(knot), "value": float(value),
-                })
+            rows += curve_rows("seasonal", name, curve, phi)
     return rows

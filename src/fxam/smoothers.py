@@ -302,8 +302,9 @@ def penalized_smooth(x, y, penalty, weights=None):
         return y.copy()
     if np.any(np.diff(x) <= 0):
         raise ValueError("knots must be strictly increasing")
-    factor = cholesky_banded(_penalized_bands(x, penalty, w), lower=False)
-    return cho_solve_banded((factor, False), w * y)
+    if not all(np.all(np.isfinite(a)) for a in (x, y, w)):
+        raise ValueError("inputs must be finite")
+    return penalized_apply(penalized_factor(x, penalty, w), y, w)
 
 
 def smoother_matrix(backend, knots, parameter, weights=None,
@@ -333,10 +334,9 @@ def smoother_matrix(backend, knots, parameter, weights=None,
     if backend == "penalized":
         if parameter == 0.0 or n <= 2:
             return np.eye(n)
-        factor = cholesky_banded(
-            _penalized_bands(knots, parameter, w), lower=False
+        return penalized_apply(
+            penalized_factor(knots, parameter, w), np.diag(w)
         )
-        return cho_solve_banded((factor, False), np.diag(w))
     if backend == "kernel":
         u = (knots[:, None] - knots[None, :]) / parameter
         k = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0) * w[None, :]

@@ -226,6 +226,23 @@ class TestExitCodes:
         assert rc == 3
         assert "column 'c': record 1" in capsys.readouterr().err
 
+    def test_separator_in_categorical_name_is_data_error(self, tmp_path,
+                                                          capsys):
+        data = tmp_path / "sep.csv"
+        data.write_text("a,a=b,y\nb=c,q,1.0\nq,r,2.0\n", encoding="utf-8")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": "a", "kind": "categorical"},
+            {"name": "a=b", "kind": "categorical"},
+            {"name": "y", "kind": "response"},
+        ]}))
+        rc = main([
+            "train", "--data", str(data), "--schema", str(schema),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 3
+        assert "column 'a=b'" in capsys.readouterr().err
+
     def test_tiny_pilot_is_data_error(self, pipeline, tmp_path, capsys):
         rc = main([
             "train", "--data", pipeline["data"], "--schema",

@@ -70,6 +70,19 @@ class TestDatasetValidation:
         dataset = Dataset(response=np.zeros(2), categorical={"c": wide})
         assert dataset.categorical["c"].tolist() == ["a", "bcd"]
 
+    def test_separator_in_categorical_name_rejected(self):
+        # feature "a" with value "b=c" and feature "a=b" with value "c"
+        # would both be labelled "a=b=c" and share one weight
+        with pytest.raises(ValueError, match="column 'a=b': .*'='"):
+            Dataset(response=np.zeros(2),
+                    categorical={"a": ["b=c", "q"], "a=b": ["c", "r"]})
+
+    def test_separator_in_categorical_value_accepted(self):
+        dataset = Dataset(response=np.zeros(2),
+                          categorical={"a": ["b=c", "q"]})
+        labels = build_homogeneous_encoding(dataset).labels
+        assert labels == ("a=b=c", "a=q")
+
 
 class TestHomogeneousEncoding:
     def test_two_features_disjoint_indices(self):

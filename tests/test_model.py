@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_toy_dataset, tight_toy_config
 
@@ -10,7 +13,6 @@ from fxam.model import (
     ShapeCurve,
     TemporalCurves,
     deserialize,
-    evaluate_shape,
     export_contributions,
     predict,
     predict_batch,
@@ -29,6 +31,55 @@ def small_model():
     )
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def quote_floats(obj):
+    """A payload as earlier versions wrote it: every float a repr() string."""
+    if isinstance(obj, float):
+        return repr(obj)
+    if isinstance(obj, list):
+        return [quote_floats(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: quote_floats(v) for k, v in obj.items()}
+    return obj
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_bit_identical(clone, model):
+    """Same intercept, betas and curves, to the bit (so -0.0 != 0.0)."""
+    assert bits(clone.intercept) == bits(model.intercept)
+    assert list(clone.betas) == list(model.betas)
+    assert bits(list(clone.betas.values())) == bits(list(model.betas.values()))
+    pairs = [(clone.shapes[k], c) for k, c in model.shapes.items()]
+    for name, tc in model.temporals.items():
+        other = clone.temporals[name]
+        assert (other.tau, other.period) == (tc.tau, tc.period)
+        pairs.append((other.trend, tc.trend))
+        pairs += zip(other.seasonal_phases, tc.seasonal_phases, strict=True)
+    for got, want in pairs:
+        assert bits(got.knots) == bits(want.knots)
+        assert bits(got.values) == bits(want.values)
+
+
+def temporal_model():
+    curves = TemporalCurves(
+        tau=2, period=2,
+        trend=ShapeCurve(np.array([0.0, 2.0]), np.array([1.0, 1.0])),
+        seasonal_phases=(
+            ShapeCurve(np.array([0.0]), np.array([0.5])),
+            ShapeCurve(np.array([2.0]), np.array([-0.5])),
+        ),
+    )
+    return FxamModel(
+        intercept=0.0, shapes={}, betas={}, temporals={"t": curves},
+        schema={"numerical": [], "categorical": [], "temporal": ["t"]},
+    )
+
+
 @pytest.fixture(scope="module")
 def trained():
     dataset = make_toy_dataset(0)
@@ -36,25 +87,33 @@ def trained():
     return dataset, model
 
 
+def shape_at(curve, *xs):
+    """The curve's predictions at xs, through a one-feature model."""
+    model = FxamModel(
+        intercept=0.0, shapes={"x": curve}, betas={}, temporals={},
+        schema={"numerical": ["x"], "categorical": [], "temporal": []},
+    )
+    return predict_batch(model, {"x": np.array(xs)}).tolist()
+
+
 class TestShapeCurve:
     def test_exact_at_knots(self):
         curve = ShapeCurve(np.array([0.0, 2.0, 5.0]),
                            np.array([1.0, -1.0, 4.0]))
-        assert evaluate_shape(curve, 2.0) == -1.0
+        assert shape_at(curve, 2.0) == [-1.0]
 
     def test_midpoint_interpolates(self):
         curve = ShapeCurve(np.array([0.0, 1.0]), np.array([2.0, 4.0]))
-        assert evaluate_shape(curve, 0.5) == 3.0
+        assert shape_at(curve, 0.5) == [3.0]
 
     def test_clamped_outside_range(self):
         curve = ShapeCurve(np.array([0.0, 1.0]), np.array([2.0, 4.0]))
-        assert evaluate_shape(curve, -10.0) == 2.0
-        assert evaluate_shape(curve, 10.0) == 4.0
+        assert shape_at(curve, -10.0, 10.0) == [2.0, 4.0]
 
     def test_empty_curve_rejected_at_eval(self):
         curve = ShapeCurve(np.array([]), np.array([]))
-        with pytest.raises(ValueError, match="empty"):
-            evaluate_shape(curve, 0.0)
+        with pytest.raises(ValueError, match="'x': .*empty"):
+            shape_at(curve, 0.0)
 
     def test_non_increasing_knots_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -117,6 +176,25 @@ class TestPredict:
         assert predict(model, {"t": 2}) == pytest.approx(1.0 - 0.5)
         with pytest.raises(ValueError, match="divisible"):
             predict(model, {"t": 3})
+
+    @pytest.mark.parametrize("t", [2.5, np.nan, np.inf])
+    def test_non_integer_time_rejected(self, t):
+        with pytest.raises(ValueError, match="column 't'"):
+            predict(temporal_model(), {"t": t})
+
+    def test_short_categorical_column_rejected(self):
+        # a one-element column is not broadcast over the batch
+        with pytest.raises(ValueError, match="column 'z'"):
+            predict_batch(small_model(), {"x": [0.0, 0.5, 1.0], "z": ["b"]})
+
+    def test_short_temporal_column_rejected(self):
+        model = FxamModel(
+            intercept=0.0, shapes=small_model().shapes, betas={},
+            temporals=temporal_model().temporals,
+            schema={"numerical": ["x"], "categorical": [], "temporal": ["t"]},
+        )
+        with pytest.raises(ValueError, match="column 't'"):
+            predict_batch(model, {"x": [0.0, 0.5, 1.0], "t": [0, 2]})
 
 
 class TestSerialization:
@@ -192,6 +270,59 @@ class TestSerialization:
         clone = deserialize(serialize(model))
         assert clone.betas == {}
         assert clone.intercept == 2.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        intercept=FINITE,
+        points=st.dictionaries(FINITE, FINITE, min_size=1, max_size=20),
+        betas=st.lists(FINITE, max_size=5),
+    )
+    @example(intercept=-0.0, points={-0.0: 5e-324, 1.7e308: -1.7e308},
+             betas=[2.2250738585072014e-308, -0.0])
+    def test_finite_numbers_round_trip_bit_for_bit(self, intercept, points,
+                                                   betas):
+        knots = np.array(sorted(points))
+        curve = ShapeCurve(knots, np.array([points[k] for k in knots]))
+        model = FxamModel(
+            intercept=intercept, shapes={"x": curve},
+            betas={f"z={j}": b for j, b in enumerate(betas)},
+            temporals={"t": TemporalCurves(
+                tau=1, period=2, trend=curve,
+                seasonal_phases=(curve, ShapeCurve([], [])),
+            )},
+            schema={"numerical": ["x"], "categorical": ["z"],
+                    "temporal": ["t"]},
+        )
+        payload = serialize(model)
+        assert_bit_identical(deserialize(payload), model)
+        # the quoted, indented form written by earlier versions of the
+        # format loads to the same numbers
+        legacy = json.dumps(quote_floats(json.loads(payload)), indent=1)
+        assert_bit_identical(deserialize(legacy.encode("utf-8")), model)
+
+    def test_quoted_payload_predicts_identically(self, trained):
+        dataset, model = trained
+        doc = quote_floats(json.loads(serialize(model)))
+        assert isinstance(doc["intercept"], str)
+        clone = deserialize(json.dumps(doc, indent=1).encode("utf-8"))
+        assert_bit_identical(clone, model)
+        columns = {}
+        for mapping in (dataset.numerical, dataset.categorical,
+                        dataset.temporal):
+            columns.update(mapping)
+        expected = predict_batch(model, columns)
+        assert predict_batch(clone, columns).tobytes() == expected.tobytes()
+        assert clone.converged is True
+
+    @pytest.mark.parametrize("field", ["intercept", "beta"])
+    def test_non_finite_number_rejected(self, field):
+        model = small_model()
+        if field == "intercept":
+            model = replace(model, intercept=np.nan)
+        else:
+            model = replace(model, betas={"z=a": np.nan})
+        with pytest.raises(ValueError):
+            serialize(model)
 
     def test_version_mismatch_rejected(self, trained):
         _, model = trained

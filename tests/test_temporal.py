@@ -16,7 +16,7 @@ from fxam.smoothers import (
     naive_kernel_smooth,
     second_difference_matrix,
 )
-from fxam.model import ShapeCurve, TemporalCurves
+from fxam.model import FxamModel, ShapeCurve, TemporalCurves, predict_batch
 from fxam.temporal import DecomposeConfig, build_smoothers, decompose
 from fxam.training import TemporalRule, TrainConfig, tsi_train
 
@@ -597,8 +597,17 @@ def temporal_curves(components, partition):
     )
 
 
+def contribution(curves, t):
+    """Trend plus seasonal value at time t, through a one-feature model."""
+    model = FxamModel(
+        intercept=0.0, shapes={}, betas={}, temporals={"t": curves},
+        schema={"numerical": [], "categorical": [], "temporal": ["t"]},
+    )
+    return float(predict_batch(model, {"t": np.array([t])})[0])
+
+
 class TestEvaluateTemporal:
-    """``TemporalCurves.contribution`` on decomposed components."""
+    """``predict_batch`` on the curves of decomposed components."""
 
     def setup_method(self):
         times = np.repeat(np.arange(0, 40), 2)
@@ -612,14 +621,14 @@ class TestEvaluateTemporal:
 
     def test_observed_point_is_exact(self):
         t = int(self.series.times[5])
-        assert self.curves.contribution(t) == pytest.approx(
+        assert contribution(self.curves, t) == pytest.approx(
             self.components.trend[5] + self.components.seasonal[5]
         )
 
     def test_clamped_beyond_range(self):
         phase = (4000 // 1) % 4
         idx = self.partition.phase_sets[phase]
-        assert self.curves.contribution(4000) == pytest.approx(
+        assert contribution(self.curves, 4000) == pytest.approx(
             self.components.trend[-1] + self.components.seasonal[idx][-1]
         )
 
@@ -636,7 +645,7 @@ class TestEvaluateTemporal:
             seasonal=np.array([0.0, 2.0, 4.0, 0.0]),
         )
         curves = temporal_curves(components, partition)
-        assert curves.contribution(5) == pytest.approx(5.0 + 3.0)
+        assert contribution(curves, 5) == pytest.approx(5.0 + 3.0)
 
     def test_non_divisible_time_rejected(self):
         series, partition = make_series(
@@ -645,7 +654,7 @@ class TestEvaluateTemporal:
         components = decompose(series, partition, series.values)
         curves = temporal_curves(components, partition)
         with pytest.raises(ValueError, match="divisible"):
-            curves.contribution(3)
+            contribution(curves, 3)
 
     def test_empty_phase_contributes_zero(self):
         times = np.array([0, 1, 3, 4])
@@ -653,6 +662,6 @@ class TestEvaluateTemporal:
         components = decompose(series, partition, series.values)
         curves = temporal_curves(components, partition)
         assert curves.seasonal_phases[2].is_empty
-        assert curves.contribution(2) == pytest.approx(
+        assert contribution(curves, 2) == pytest.approx(
             float(np.interp(2.0, times, components.trend))
         )
