@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-# below this cardinality a dense Gram is cheaper than sparse bookkeeping
-DENSE_GRAM_LIMIT = 64
-# largest system solved densely: by the oracle, and by training's Cholesky
+# largest system solved densely: by the oracle, and by training's Cholesky;
+# gram_assemble returns a dense Gram up to this size
 CLOSED_FORM_LIMIT = 1000
 
 
@@ -59,13 +58,49 @@ class NgaResult:
     residual: float
 
 
+def _pair_counts(rows, chunk):
+    """Co-occurrence counts of each column pair f < g of q-hot rows.
+
+    Yields ``(top, left, counts)`` per pair, where ``counts[i, j]`` is the
+    number of records with label ``top + i`` in column f and ``left + j``
+    in column g.  ``counts`` is a dense contingency table over the two
+    columns' code ranges, or CSR when the table would have more cells
+    than ``min(chunk, n)`` and so be mostly empty; the CSR is summed
+    chunk by chunk of records.
+    """
+    n, q = rows.shape
+    lo = rows.min(axis=0)
+    span = rows.max(axis=0) - lo + 1
+    local = np.ascontiguousarray((rows - lo).T)
+    for f in range(q):
+        for g in range(f + 1, q):
+            shape = (int(span[f]), int(span[g]))
+            if shape[0] * shape[1] <= min(chunk, n):
+                counts = np.bincount(
+                    local[f] * shape[1] + local[g],
+                    minlength=shape[0] * shape[1],
+                ).reshape(shape)
+            else:
+                counts = sp.csr_matrix(shape)
+                for start in range(0, n, chunk):
+                    left = local[f, start:start + chunk]
+                    right = local[g, start:start + chunk]
+                    counts = counts + sp.coo_matrix(
+                        (np.ones(left.size), (left, right)), shape=shape
+                    ).tocsr()
+            yield int(lo[f]), int(lo[g]), counts
+
+
 def gram_assemble(encoding, y_target, ridge, chunk=65536):
     """Build the ridge system from q-hot rows.
 
     G[j, k] counts records having both value j and value k active (so the
     diagonal of Z'Z holds per-value occurrence counts), plus ``ridge`` on
-    the diagonal.  Assembly is O(n q^2) and never materializes a dense
-    n-by-c design matrix.
+    the diagonal.  The diagonal is one bincount of all active values;
+    each column pair f < g adds its co-occurrence counts and their
+    transpose.  Assembly is O(n q^2) and never materializes a dense
+    n-by-c design matrix.  G is dense up to ``CLOSED_FORM_LIMIT`` labels,
+    the systems that are solved densely, and CSR above.
     """
     if ridge <= 0:
         raise ValueError("ridge must be positive")
@@ -82,30 +117,36 @@ def gram_assemble(encoding, y_target, ridge, chunk=65536):
         rows.ravel(), weights=np.repeat(y_target, q), minlength=c
     )
 
-    # One bincount over the pair codes left * c + right counts a chunk's
-    # co-occurrences.  Its c^2-long count vector is used only while it is
-    # no longer than the pair-code array of a full chunk; beyond that,
-    # each chunk's pairs go through COO -> CSR instead.
-    by_count = c * c <= min(chunk, n) * q * q
-    pairs = np.zeros(c * c, np.int64) if by_count else sp.csr_matrix((c, c))
-    for start in range(0, n, chunk):
-        part = rows[start:start + chunk]
-        codes = (part[:, :, None] * c + part[:, None, :]).ravel()
-        if by_count:
-            pairs += np.bincount(codes, minlength=c * c)
-        else:
-            left, right = np.divmod(codes, c)
-            pairs = pairs + sp.coo_matrix(
-                (np.ones(codes.size), (left, right)), shape=(c, c)
-            ).tocsr()
-    if by_count:
-        pairs = pairs.reshape(c, c)
-
-    if c < DENSE_GRAM_LIMIT:
-        gram = pairs.astype(float) if by_count else pairs.toarray()
+    # counts are integers, exact in float64 in any order of addition;
+    # the ridge is added last, in one rounding
+    diagonal = np.bincount(rows.ravel(), minlength=c)
+    if c <= CLOSED_FORM_LIMIT:
+        gram = np.diag(diagonal.astype(float))
+        for top, left, counts in _pair_counts(rows, chunk):
+            if sp.issparse(counts):
+                counts = counts.tocoo()
+                upper = (top + counts.row, left + counts.col)
+                np.add.at(gram, upper, counts.data)
+                np.add.at(gram, upper[::-1], counts.data)
+            else:
+                block = (slice(top, top + counts.shape[0]),
+                         slice(left, left + counts.shape[1]))
+                gram[block] += counts
+                gram[block[::-1]] += counts.T
         gram[np.diag_indices(c)] += ridge
     else:
-        gram = sp.csr_matrix(pairs) + ridge * sp.identity(c, format="csr")
+        labels = np.arange(c)
+        row, col, data = [labels], [labels], [diagonal]
+        for top, left, counts in _pair_counts(rows, chunk):
+            counts = sp.coo_matrix(counts)
+            row += [top + counts.row, left + counts.col]
+            col += [left + counts.col, top + counts.row]
+            data += [counts.data, counts.data]
+        gram = sp.coo_matrix(
+            (np.concatenate(data).astype(float),
+             (np.concatenate(row), np.concatenate(col))),
+            shape=(c, c),
+        ).tocsr() + ridge * sp.identity(c, format="csr")
     return RidgeSystem(gram=gram, rhs=b, ridge=float(ridge))
 
 

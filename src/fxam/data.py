@@ -30,7 +30,7 @@ class Dataset:
     numerical : dict[str, ndarray]
         Name -> float column.  Insertion order is the declaration order.
     categorical : dict[str, ndarray]
-        Name -> string-valued column.
+        Name -> label column; values are keyed by their ``str`` form.
     temporal : dict[str, ndarray]
         Name -> integer time column, expressed in units of that feature's
         time step tau.
@@ -60,7 +60,7 @@ class Dataset:
         # left as they were passed
         numerical = {}
         for name, col in self.numerical.items():
-            col = np.asarray(col, dtype=float)
+            col = float_column(col, name)
             numerical[name] = col
             if col.shape != (n,):
                 raise ValueError(f"column '{name}': length mismatch")
@@ -105,6 +105,27 @@ class Dataset:
         )
 
 
+def float_column(column, name):
+    """A column as float64.
+
+    Raises
+    ------
+    ValueError
+        Naming the column and its first record that is not a number.
+    """
+    try:
+        return np.asarray(column, dtype=float)
+    except (TypeError, ValueError) as exc:
+        for i, value in enumerate(np.atleast_1d(np.asarray(column, object))):
+            try:
+                np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"column '{name}': record {i}: '{value}' is not a number"
+                ) from None
+        raise ValueError(f"column '{name}': {exc}") from exc
+
+
 def integer_times(column, name):
     """A temporal column as int64, refusing non-finite or fractional values.
 
@@ -116,7 +137,7 @@ def integer_times(column, name):
     arr = np.asarray(column)
     if np.issubdtype(arr.dtype, np.integer):
         return arr.astype(np.int64)
-    flt = np.asarray(column, dtype=float)
+    flt = float_column(arr, name)
     if not np.all(np.isfinite(flt)):
         raise ValueError(f"column '{name}': non-finite values")
     if np.any(flt != np.round(flt)):
@@ -174,13 +195,69 @@ class CategoricalEncoding:
         return self.row_indices.shape[1]
 
 
+def factorize(column):
+    """Distinct values of a label column and the code of every record.
+
+    Values are keyed by their ``str`` form: a column that is not a numpy
+    string array goes through ``astype(str)`` first, so ``1``, ``True`` and
+    ``None`` become the labels ``"1"``, ``"True"`` and ``"None"``.
+
+    The code points of each label are packed into one int64 key, as many
+    characters per key as fit in 63 bits at the column's widest code
+    point; when characters remain, the keys are replaced by their dense
+    ranks and packing goes on.  One sort of the keys then groups equal
+    labels.  The keys are exact for any label width and code point.
+
+    Returns
+    -------
+    values : ndarray of str, shape (k,)
+        Distinct values in first-appearance order.
+    codes : ndarray of int64, shape (n,)
+        ``values[codes]`` equals the column.
+    """
+    labels = np.asarray(column)
+    if labels.dtype.kind != "U":
+        labels = labels.astype(str)
+    labels = np.ascontiguousarray(labels).ravel()
+    n = labels.size
+    if n == 0:
+        return labels, np.zeros(0, dtype=np.int64)
+    width = labels.dtype.itemsize // 4
+    chars = labels.view(np.uint32).reshape(n, width)
+    keys = np.zeros(n, dtype=np.int64)
+    if width:
+        bits = max(int(chars.max()).bit_length(), 1)
+        used = 0
+        for j in range(width):
+            if used + bits > 63:
+                keys = np.unique(keys, return_inverse=True)[1].astype(
+                    np.int64)
+                used = int(keys.max()).bit_length()
+            keys = (keys << bits) | chars[:, j]
+            used += bits
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    # each group's first record, then the groups ranked by it
+    first = np.minimum.reduceat(order, starts)
+    appearance = np.argsort(first)
+    rank = np.empty(starts.size, dtype=np.int64)
+    rank[appearance] = np.arange(starts.size)
+    codes = np.empty(n, dtype=np.int64)
+    codes[order] = rank[np.cumsum(new) - 1]
+    return labels[first[appearance]], codes
+
+
 def build_homogeneous_encoding(dataset):
     """Pool every categorical value into one indexed label set.
 
     Indices are assigned feature by feature in declaration order, values in
     first-appearance order, so the encoding is reproducible run to run.
-    Labels are feature-name-suffixed (``feature=value``), which keeps the
-    domains of different features disjoint.
+    Labels are feature-name-suffixed (``feature=value``, the value in its
+    ``str`` form), which keeps the domains of different features disjoint.
 
     Returns
     -------
@@ -193,20 +270,12 @@ def build_homogeneous_encoding(dataset):
     index_of = {}
     columns = []
     for name, col in dataset.categorical.items():
-        # np.unique sorts; re-rank by first appearance to keep the
-        # assignment independent of value ordering
-        uniq, first_pos, inverse = np.unique(
-            col, return_index=True, return_inverse=True
-        )
-        appearance = np.argsort(first_pos, kind="stable")
-        rank = np.empty(uniq.size, dtype=np.int64)
-        rank[appearance] = np.arange(uniq.size)
-        codes = rank[inverse] + len(labels)
-        for value in uniq[appearance]:
+        values, codes = factorize(col)
+        columns.append(codes + len(labels))
+        for value in values.tolist():
             key = f"{name}{LABEL_SEPARATOR}{value}"
             index_of[key] = len(labels)
             labels.append(key)
-        columns.append(codes)
     if columns:
         row_indices = np.stack(columns, axis=1)
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LABEL_SEPARATOR, integer_times
+from .data import LABEL_SEPARATOR, factorize, float_column, integer_times
 
 FORMAT_VERSION = "fxam-model/1"
 
@@ -97,8 +97,10 @@ def predict_batch(model, columns):
 
     Every column must be as long as the first.  Numerical values must be
     finite, and temporal values finite integers divisible by the
-    feature's tau.  Curves are interpolated linearly between knots and
-    clamped outside them; an empty seasonal phase contributes zero.
+    feature's tau.  Categorical values are matched by their ``str`` form,
+    and one the model has not seen contributes zero.  Curves are
+    interpolated linearly between knots and clamped outside them; an
+    empty seasonal phase contributes zero.
 
     Raises
     ------
@@ -124,17 +126,17 @@ def predict_batch(model, columns):
             )
     total = np.full(n, model.intercept)
     for name in model.schema["numerical"]:
-        x = np.asarray(arrays[name], dtype=float)
+        x = float_column(arrays[name], name)
         if not np.all(np.isfinite(x)):
             raise ValueError(f"column '{name}': non-finite value")
         total += _interp(name, x, model.shapes[name])
     for name in model.schema["categorical"]:
-        uniq, inverse = np.unique(arrays[name], return_inverse=True)
+        values, codes = factorize(arrays[name])
         weights = np.array([
             model.betas.get(f"{name}{LABEL_SEPARATOR}{v}", 0.0)
-            for v in uniq
+            for v in values.tolist()
         ])
-        total += weights[inverse]
+        total += weights[codes]
     for name in model.schema["temporal"]:
         tc = model.temporals[name]
         t = integer_times(arrays[name], name)

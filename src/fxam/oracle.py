@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .data import factorize
 from .smoothers import second_difference_matrix, smoother_matrix
 from .training import TrainingProblem, _add_penalties
 
@@ -152,7 +153,7 @@ def normal_equation_direct_solve(dataset, config, max_dim=DIRECT_SOLVE_LIMIT):
         np.unique(col).size for col in dataset.numerical.values()
     )
     projected += sum(
-        np.unique(col).size for col in dataset.categorical.values()
+        factorize(col)[0].size for col in dataset.categorical.values()
     )
     projected += 2 * sum(
         np.unique(col).size for col in dataset.temporal.values()

@@ -307,7 +307,7 @@ class TrainingProblem:
                 joint[0, 0] = float(self.n)
                 joint[0, 1:] = counts
                 joint[1:, 0] = counts
-                joint[1:, 1:] = gram.toarray() if sp.issparse(gram) else gram
+                joint[1:, 1:] = gram
                 self.gram_joint = joint
                 try:
                     self.gram_joint_factor = sla.cho_factor(joint, lower=True)

@@ -60,3 +60,21 @@ def test_traced_fit_times_stage1(tracing):
     assert layers["training.stage1_passes"] > 0
     assert layers["training.cycles"] == model.diagnostics["cycles"]
     assert layers["training.sample_size"] == 100
+
+
+def test_traced_fit_times_categorical_setup(tracing):
+    rng = np.random.default_rng(1)
+    n = 200
+    z = rng.choice(["a", "b", "c"], n)
+    y = (z == "a") + rng.normal(0, 0.1, n)
+    dataset = Dataset(response=y, categorical={"z": z})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model = tsi_train(dataset, TrainConfig())
+    finally:
+        tracer.remove()
+    layers = tracer.layer_metrics(model)
+    assert layers["data.labels"] == 3
+    assert layers["data.encoding_s"] > 0
+    assert layers["categorical.gram_assemble_s"] > 0

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fxam.categorical import (
+    CLOSED_FORM_LIMIT,
     ConvergenceError,
     RidgeSystem,
     closed_form_ridge,
@@ -67,12 +70,12 @@ class TestGramAssemble:
             gram_assemble(enc, np.zeros(3), ridge=1.0)
 
     @staticmethod
-    def _sparse_case(chunk):
+    def _sparse_case(chunk, widths=(40, 40, 40)):
         rng = np.random.default_rng(0)
-        c, n = 120, 2000
-        rows = np.stack([rng.integers(0, 40, n),
-                         40 + rng.integers(0, 40, n),
-                         80 + rng.integers(0, 40, n)], axis=1)
+        n, c = 2000, sum(widths)
+        offsets = np.cumsum((0,) + widths[:-1])
+        rows = np.stack([lo + rng.integers(0, w, n)
+                         for lo, w in zip(offsets, widths)], axis=1)
         system = gram_assemble(encoding_from_rows(rows), np.zeros(n),
                                ridge=0.5, chunk=chunk)
         z = np.zeros((n, c))
@@ -80,21 +83,30 @@ class TestGramAssemble:
         return system, z.T @ z + 0.5 * np.eye(c)
 
     def test_sparse_above_threshold(self):
-        # c^2 = 14400 fits in the 2000 * 3^2 pair codes: one count vector
+        # dense up to CLOSED_FORM_LIMIT labels, CSR above it
         system, expected = self._sparse_case(chunk=65536)
+        assert not sp.issparse(system.gram)
+        np.testing.assert_array_equal(system.gram, expected)
+        system, expected = self._sparse_case(chunk=65536,
+                                             widths=(1000, 40, 40))
         assert sp.issparse(system.gram)
         np.testing.assert_array_equal(system.gram.toarray(), expected)
 
     @pytest.mark.parametrize("chunk", [1700, 100])
     def test_sparse_across_chunks(self, chunk):
-        # 1700 chunks still count by bincount; 100 * 3^2 < c^2 takes the
-        # per-chunk COO -> CSR path
+        # 40 x 40 tables fit in 1700-record chunks; pairs with the
+        # 1000-label column, and every pair at 100, go through COO -> CSR
         system, expected = self._sparse_case(chunk=chunk)
+        assert not sp.issparse(system.gram)
+        np.testing.assert_array_equal(system.gram, expected)
+        system, expected = self._sparse_case(chunk=chunk,
+                                             widths=(1000, 40, 40))
         assert sp.issparse(system.gram)
         np.testing.assert_array_equal(system.gram.toarray(), expected)
 
     def test_dense_with_few_records_per_chunk(self):
-        # 1 * 2^2 pair codes per chunk < c^2: the per-chunk path, dense out
+        # every 3 x 2 pair table exceeds min(chunk, n) = 1: the per-chunk
+        # COO path, dense out
         rows = np.array([[0, 3], [1, 3], [2, 4], [0, 4], [2, 3]])
         system = gram_assemble(encoding_from_rows(rows), np.zeros(5),
                                ridge=1.0, chunk=1)
@@ -115,6 +127,45 @@ class TestGramAssemble:
             np.asarray(system.gram), z.T @ z + 0.5 * np.eye(7)
         )
         np.testing.assert_allclose(system.rhs, z.T @ y)
+
+
+@st.composite
+def qhot_rows(draw):
+    """Random q-hot rows: column ranges overlap freely, so one record can
+    hold the same label in two columns; some cases exceed the dense limit."""
+    n = draw(st.integers(1, 40))
+    q = draw(st.integers(1, 4))
+    c = draw(st.sampled_from([1, 3, 12, 40, CLOSED_FORM_LIMIT + 30]))
+    lows = draw(st.lists(st.integers(0, c - 1), min_size=q, max_size=q))
+    rows = np.stack([
+        np.array(draw(st.lists(st.integers(lo, c - 1), min_size=n,
+                               max_size=n)))
+        for lo in lows
+    ], axis=1)
+    return rows
+
+
+class TestGramProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=qhot_rows(), chunk=st.sampled_from([1, 5, 65536]),
+           ridge=st.floats(0.01, 10.0))
+    @example(rows=np.array([[2, 2], [0, 2], [1, 1]]), chunk=65536,
+             ridge=0.3)
+    def test_equals_dense_design(self, rows, chunk, ridge):
+        n, q = rows.shape
+        encoding = encoding_from_rows(rows)
+        y = np.linspace(-1.0, 2.0, n)
+        system = gram_assemble(encoding, y, ridge, chunk=chunk)
+        # the q-hot design counts a label held twice in a record twice
+        z = np.zeros((n, encoding.cardinality))
+        np.add.at(z, (np.repeat(np.arange(n), q), rows.ravel()), 1.0)
+        expected = z.T @ z + ridge * np.eye(encoding.cardinality)
+        dense = encoding.cardinality <= CLOSED_FORM_LIMIT
+        assert sp.issparse(system.gram) != dense
+        gram = system.gram if dense else system.gram.toarray()
+        np.testing.assert_array_equal(gram, expected)
+        np.testing.assert_allclose(system.rhs, z.T @ y, rtol=1e-12,
+                                   atol=1e-12)
 
 
 class TestPowerIteration:

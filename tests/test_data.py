@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fxam.data import (
     Dataset,
     build_homogeneous_encoding,
     compress_time_points,
+    factorize,
     partition_phases,
 )
 
@@ -70,6 +73,12 @@ class TestDatasetValidation:
         dataset = Dataset(response=np.zeros(2), categorical={"c": wide})
         assert dataset.categorical["c"].tolist() == ["a", "bcd"]
 
+    @pytest.mark.parametrize("kind", ["numerical", "temporal"])
+    def test_non_numeric_value_names_column_and_record(self, kind):
+        with pytest.raises(ValueError,
+                           match="column 'x': record 1: 'abc' is not a"):
+            Dataset(response=np.zeros(3), **{kind: {"x": ["2", "abc", "x"]}})
+
     def test_separator_in_categorical_name_rejected(self):
         # feature "a" with value "b=c" and feature "a=b" with value "c"
         # would both be labelled "a=b=c" and share one weight
@@ -130,6 +139,69 @@ class TestHomogeneousEncoding:
         ds = _dataset({"z": np.array(["b", "a"])})
         enc = build_homogeneous_encoding(ds)
         assert all(enc.labels[i] == lab for lab, i in enc.index_of.items())
+
+
+    def test_mixed_type_column_keyed_by_str(self):
+        ds = _dataset({"c": np.array(["a", 1, None, "1"], dtype=object)})
+        enc = build_homogeneous_encoding(ds)
+        assert enc.labels == ("c=a", "c=1", "c=None")
+        assert enc.row_indices[:, 0].tolist() == [0, 1, 2, 1]
+
+
+def sorting_factorize(column):
+    """The encoding's former algorithm: ``np.unique`` sorts the values,
+    which are then re-ranked by first appearance."""
+    uniq, first_pos, inverse = np.unique(
+        column, return_index=True, return_inverse=True
+    )
+    appearance = np.argsort(first_pos, kind="stable")
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[appearance] = np.arange(uniq.size)
+    return [str(v) for v in uniq[appearance]], rank[inverse]
+
+
+def assert_factorize_matches_oracle(column):
+    values, codes = factorize(column)
+    oracle_values, oracle_codes = sorting_factorize(column)
+    assert values.tolist() == oracle_values
+    assert codes.dtype == np.int64
+    np.testing.assert_array_equal(codes, oracle_codes)
+
+
+# ASCII, two- and three-byte and non-BMP code points, and any other
+# character but NUL, which a Dataset rejects
+LABEL_CHARS = st.one_of(
+    st.sampled_from("ab\u00e9\u4e2d\U0001f600"),
+    st.characters(exclude_characters="\x00"),
+)
+
+
+class TestFactorize:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.lists(st.text(LABEL_CHARS, max_size=45), min_size=1,
+                      max_size=8, unique=True),
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=60),
+    )
+    # "" alone, and 21-bit labels long enough for several rank steps
+    @example(pool=[""], picks=[0, 0])
+    @example(pool=["\U0001f600" * 45, "\U0001f600" * 44 + "a", ""],
+             picks=[1, 0, 2, 0, 1])
+    def test_matches_sorting_oracle(self, pool, picks):
+        column = np.array([pool[i % len(pool)] for i in picks])
+        assert_factorize_matches_oracle(column)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40),
+        st.lists(st.booleans(), min_size=1, max_size=40),
+    ))
+    def test_int_and_bool_columns_match_sorting_oracle(self, values):
+        assert_factorize_matches_oracle(np.array(values))
+
+    def test_empty_column(self):
+        values, codes = factorize(np.array([], dtype=str))
+        assert values.size == 0 and codes.size == 0
 
 
 class TestCompressTimePoints:

@@ -187,6 +187,22 @@ class TestPredict:
         with pytest.raises(ValueError, match="column 'z'"):
             predict_batch(small_model(), {"x": [0.0, 0.5, 1.0], "z": ["b"]})
 
+    def test_non_numeric_value_names_column_and_record(self):
+        with pytest.raises(ValueError,
+                           match="column 'x': record 1: 'abc' is not a"):
+            predict_batch(small_model(), {"x": ["0.5", "abc"],
+                                          "z": ["a", "a"]})
+        with pytest.raises(ValueError,
+                           match="column 't': record 1: 'abc' is not a"):
+            predict_batch(temporal_model(), {"t": ["2", "abc"]})
+
+    def test_object_categorical_column(self):
+        # None is keyed as the unseen label "None" and contributes zero
+        got = predict_batch(small_model(), {
+            "x": [0.5, 0.5], "z": np.array(["a", None], dtype=object),
+        })
+        assert got.tolist() == [1.0 + 1.0 + 1.5, 1.0 + 1.0]
+
     def test_short_temporal_column_rejected(self):
         model = FxamModel(
             intercept=0.0, shapes=small_model().shapes, betas={},
@@ -195,6 +211,54 @@ class TestPredict:
         )
         with pytest.raises(ValueError, match="column 't'"):
             predict_batch(model, {"x": [0.0, 0.5, 1.0], "t": [0, 2]})
+
+
+def training_columns(dataset):
+    columns = {}
+    for mapping in (dataset.numerical, dataset.categorical,
+                    dataset.temporal):
+        columns.update(mapping)
+    return columns
+
+
+# labels whose str form is none of the toy data's z1 labels (a, b, c);
+# NUL is left out because numpy drops a trailing one
+UNSEEN = st.one_of(
+    st.none(), st.integers(),
+    st.text(st.characters(exclude_characters="\x00"), max_size=8),
+).filter(lambda label: str(label) not in ("a", "b", "c"))
+
+
+class TestPredictionProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_row_permutation_permutes_predictions(self, trained, seed):
+        dataset, model = trained
+        columns = training_columns(dataset)
+        order = np.random.default_rng(seed).permutation(dataset.n_records)
+        shuffled = {name: col[order] for name, col in columns.items()}
+        assert bits(predict_batch(model, shuffled)) == bits(
+            predict_batch(model, columns)[order]
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_unseen_label_contributes_exactly_zero(self, trained, data):
+        dataset, model = trained
+        columns = training_columns(dataset)
+        n = dataset.n_records
+        hits = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=20, unique=True))
+        labels = data.draw(st.lists(UNSEEN, min_size=len(hits),
+                                    max_size=len(hits)))
+        z1 = columns["z1"].astype(object)
+        for i, label in zip(hits, labels):
+            z1[i] = label
+        got = predict_batch(model, {**columns, "z1": z1})
+        # the same model with feature z1 left out of its schema entirely
+        schema = dict(model.schema, categorical=["z2"])
+        without = predict_batch(replace(model, schema=schema), columns)
+        assert bits(got[hits]) == bits(without[hits])
 
 
 class TestSerialization:
