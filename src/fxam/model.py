@@ -10,9 +10,11 @@ range; unseen categorical values contribute zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .data import LABEL_SEPARATOR, factorize, float_column, integer_times
 
@@ -33,7 +35,9 @@ class ShapeCurve:
         object.__setattr__(self, "values", values)
         if knots.shape != values.shape or knots.ndim != 1:
             raise ValueError("knots and values must be 1-d and equally long")
-        if knots.size and not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("curve knots must be finite")
+        if not np.all(np.isfinite(values)):
             raise ValueError("curve values must be finite")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
@@ -51,6 +55,17 @@ class TemporalCurves:
     period: int
     trend: ShapeCurve
     seasonal_phases: tuple  # of ShapeCurve, length == period
+
+    def __post_init__(self):
+        if self.tau < 1 or self.period < 1:
+            raise ValueError(
+                f"tau={self.tau} and period={self.period} must be positive"
+            )
+        if len(self.seasonal_phases) != self.period:
+            raise ValueError(
+                f"{len(self.seasonal_phases)} seasonal phases for "
+                f"period={self.period}"
+            )
 
 
 @dataclass(frozen=True)
@@ -163,25 +178,55 @@ def _interp(name, x, curve):
 
 
 # --- serialization ---------------------------------------------------------
-# Numbers are JSON numbers: json writes a float as its shortest round-trip
-# decimal and reads it back correctly rounded, so the round trip is
-# bit-faithful.  Files that quoted each number as a repr() string load
-# through the same float conversion.
+# Numbers are JSON numbers.  orjson writes each float, the curve arrays
+# included, as its shortest round-trip decimal, and the stdlib json reader
+# rounds it back correctly, so the round trip is bit-faithful.  The reader
+# stays on json: orjson.loads reads large files about 3x faster but peaks
+# about 15 MB higher on a 12 x 40k-knot document.  Files that quoted each
+# number as a repr() string load through the same float conversion.
 
 def _plain(obj):
-    """``json.dumps`` hook: numpy scalars and arrays as plain values."""
+    """``orjson.dumps`` hook: what orjson does not write natively, such
+    as non-contiguous arrays, as plain values."""
     if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _require_finite(obj, where):
+    """Raise ``ValueError`` on a NaN or infinity anywhere in ``obj``;
+    orjson would write it as ``null``."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _require_finite(value, f"{where}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            _require_finite(value, where)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        if not np.all(np.isfinite(obj)):
+            raise ValueError(f"non-finite number in {where}")
+    elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        raise ValueError(f"non-finite number in {where}")
+
+
 def _curve_payload(curve):
-    return {"knots": curve.knots.tolist(), "values": curve.values.tolist()}
+    return {"knots": curve.knots, "values": curve.values}
 
 
 def _curve_from_payload(payload):
     # ShapeCurve converts numbers and repr() strings alike to float64
     return ShapeCurve(payload["knots"], payload["values"])
+
+
+def _expect(value, kind, what):
+    """``value`` if it is a ``kind`` (dict or list), else ``ValueError``."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise ValueError(
+            f"malformed model payload: {what} is {type(value).__name__}, "
+            f"not {expected}"
+        )
+    return value
 
 
 def serialize(model):
@@ -210,10 +255,10 @@ def serialize(model):
         },
         "diagnostics": model.diagnostics,
     }
-    # compact separators keep json on its C encoder, which indent= disables
-    return json.dumps(
-        doc, separators=(",", ":"), allow_nan=False, default=_plain
-    ).encode("utf-8")
+    _require_finite(doc, "model")
+    return orjson.dumps(
+        doc, option=orjson.OPT_SERIALIZE_NUMPY, default=_plain
+    )
 
 
 def deserialize(payload):
@@ -228,6 +273,7 @@ def deserialize(payload):
         doc = json.loads(payload)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed model payload: {exc}") from exc
+    _expect(doc, dict, "the document")
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(
@@ -244,18 +290,27 @@ def deserialize(payload):
                     _curve_from_payload(c) for c in entry["seasonal_phases"]
                 ),
             )
-            for name, entry in doc["temporals"].items()
+            for name, entry in _expect(doc["temporals"], dict,
+                                       "'temporals'").items()
         }
+        schema = _expect(doc["schema"], dict, "'schema'")
+        for kind, names in schema.items():
+            _expect(names, list, f"schema '{kind}'")
         return FxamModel(
             intercept=float(doc["intercept"]),
             shapes={
                 name: _curve_from_payload(c)
-                for name, c in doc["shapes"].items()
+                for name, c in _expect(doc["shapes"], dict,
+                                       "'shapes'").items()
             },
-            betas={label: float(b) for label, b in doc["betas"].items()},
+            betas={
+                label: float(b)
+                for label, b in _expect(doc["betas"], dict, "'betas'").items()
+            },
             temporals=temporals,
-            schema=doc["schema"],
-            diagnostics=doc.get("diagnostics", {}),
+            schema=schema,
+            diagnostics=_expect(doc.get("diagnostics", {}), dict,
+                                "'diagnostics'"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model payload: {exc}") from exc

@@ -194,6 +194,23 @@ class TestExitCodes:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("payload", [b"[]", b"null", b'"x"', None])
+    def test_malformed_model_file_is_data_error(self, pipeline, tmp_path,
+                                                capsys, payload):
+        if payload is None:  # the trained file with "shapes" as a list
+            doc = json.loads(Path(pipeline["model"]).read_bytes())
+            doc["shapes"] = []
+            payload = json.dumps(doc).encode("utf-8")
+        model = tmp_path / "bad.json"
+        model.write_bytes(payload)
+        rc = main([
+            "predict", "--model", str(model), "--data", pipeline["data"],
+            "--schema", pipeline["schema"],
+            "--out", str(tmp_path / "pred.csv"),
+        ])
+        assert rc == 3
+        assert "malformed model payload" in capsys.readouterr().err
+
     def test_ragged_row_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "ragged.csv"
         data.write_text("x,y\n1.0,2.0\n3.0\n5.0,6.0\n")

@@ -119,6 +119,14 @@ class TestShapeCurve:
         with pytest.raises(ValueError, match="strictly increasing"):
             ShapeCurve(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("knots", [
+        [0.0, np.nan], [np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0],
+        [np.nan],
+    ], ids=["nan-last", "nan-first", "inf", "-inf", "single-nan"])
+    def test_non_finite_knots_rejected(self, knots):
+        with pytest.raises(ValueError, match="knots must be finite"):
+            ShapeCurve(knots, np.ones(len(knots)))
+
 
 class TestPredict:
     def test_interpolated_contribution(self):
@@ -343,6 +351,11 @@ class TestSerialization:
     )
     @example(intercept=-0.0, points={-0.0: 5e-324, 1.7e308: -1.7e308},
              betas=[2.2250738585072014e-308, -0.0])
+    # numbers whose shortest decimal the writer spells unlike repr()
+    @example(intercept=1e-05,
+             points={-1e-05: 1e16, 2.5e-310: 1e22, 1e16: -2.5e-310,
+                     1.2345678901234568e17: 1e-05},
+             betas=[1.2345678901234568e17, -1e22])
     def test_finite_numbers_round_trip_bit_for_bit(self, intercept, points,
                                                    betas):
         knots = np.array(sorted(points))
@@ -378,14 +391,27 @@ class TestSerialization:
         assert predict_batch(clone, columns).tobytes() == expected.tobytes()
         assert clone.converged is True
 
-    @pytest.mark.parametrize("field", ["intercept", "beta"])
+    @pytest.mark.parametrize("field", [
+        "intercept", "beta", "curve", "diagnostic", "numpy-diagnostic",
+        "array-diagnostic",
+    ])
     def test_non_finite_number_rejected(self, field):
+        # the writer would spell each of these as null
         model = small_model()
         if field == "intercept":
             model = replace(model, intercept=np.nan)
-        else:
+        elif field == "beta":
             model = replace(model, betas={"z=a": np.nan})
-        with pytest.raises(ValueError):
+        elif field == "curve":
+            model.shapes["x"].values[1] = np.inf  # the arrays stay writable
+        else:
+            value = {
+                "diagnostic": np.inf,
+                "numpy-diagnostic": np.float64(-np.inf),
+                "array-diagnostic": np.array([1.0, np.nan]),
+            }[field]
+            model = replace(model, diagnostics={"timings": {"x": value}})
+        with pytest.raises(ValueError, match=r"non-finite number in model\."):
             serialize(model)
 
     def test_version_mismatch_rejected(self, trained):
@@ -399,6 +425,36 @@ class TestSerialization:
     def test_malformed_payload_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             deserialize(b"{not json")
+
+    @pytest.mark.parametrize("payload", [b"[]", b"null", b'"x"', b"1.5"])
+    def test_non_object_document_rejected(self, payload):
+        with pytest.raises(ValueError, match="malformed model payload"):
+            deserialize(payload)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("tau", 0, "must be positive"), ("period", 0, "must be positive"),
+        ("period", 3, "2 seasonal phases for period=3"),
+    ])
+    def test_inconsistent_temporal_entry_rejected(self, field, value,
+                                                  message):
+        doc = json.loads(serialize(temporal_model()))
+        doc["temporals"]["t"][field] = value
+        with pytest.raises(ValueError, match=message):
+            deserialize(json.dumps(doc).encode("utf-8"))
+
+    @pytest.mark.parametrize("path,value", [
+        ("shapes", []), ("betas", [1.0]), ("temporals", []),
+        ("schema", ["x"]), ("diagnostics", []), ("schema.numerical", "x"),
+    ])
+    def test_misshapen_section_rejected(self, path, value):
+        doc = json.loads(serialize(small_model()))
+        *parents, key = path.split(".")
+        section = doc
+        for parent in parents:
+            section = section[parent]
+        section[key] = value
+        with pytest.raises(ValueError, match="malformed model payload"):
+            deserialize(json.dumps(doc).encode("utf-8"))
 
 
 class TestExportContributions:
