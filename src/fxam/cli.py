@@ -192,8 +192,6 @@ def _cmd_evaluate(args):
     dataset = ingest_csv(args.data, schema)
     report = run_experiment(
         dataset, config, k=args.folds, seed=args.split_seed,
-        no_sampling=args.ablate_sampling,
-        no_dynamic_ordering=args.ablate_dfi,
         no_temporal_stage=args.ablate_temporal_stage,
     )
     if args.report:
@@ -334,12 +332,6 @@ def build_parser():
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--report")
-    p.add_argument("--no-sampling-ablation", dest="ablate_sampling",
-                   action="store_true",
-                   help="disable intelligent sampling")
-    p.add_argument("--no-dfi-ablation", dest="ablate_dfi",
-                   action="store_true",
-                   help="disable dynamic feature iteration")
     p.add_argument("--no-temporal-stage", dest="ablate_temporal_stage",
                    action="store_true",
                    help="treat temporal features as plain numerical")

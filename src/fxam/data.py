@@ -183,7 +183,6 @@ class CategoricalEncoding:
     """
 
     labels: tuple
-    index_of: dict
     row_indices: np.ndarray  # (n, q) int64
 
     @property
@@ -267,22 +266,17 @@ def build_homogeneous_encoding(dataset):
     """
     n = dataset.n_records
     labels = []
-    index_of = {}
     columns = []
     for name, col in dataset.categorical.items():
         values, codes = factorize(col)
         columns.append(codes + len(labels))
-        for value in values.tolist():
-            key = f"{name}{LABEL_SEPARATOR}{value}"
-            index_of[key] = len(labels)
-            labels.append(key)
+        labels += [f"{name}{LABEL_SEPARATOR}{value}"
+                   for value in values.tolist()]
     if columns:
         row_indices = np.stack(columns, axis=1)
     else:
         row_indices = np.empty((n, 0), dtype=np.int64)
-    return CategoricalEncoding(
-        labels=tuple(labels), index_of=index_of, row_indices=row_indices
-    )
+    return CategoricalEncoding(labels=tuple(labels), row_indices=row_indices)
 
 
 @dataclass(frozen=True)

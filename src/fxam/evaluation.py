@@ -496,20 +496,15 @@ def temporal_as_numerical(dataset):
 
 
 def run_experiment(dataset, train_config, k=5, seed=0,
-                   no_sampling=False, no_dynamic_ordering=False,
                    no_temporal_stage=False):
     """k-fold cross-validation of one training configuration.
 
-    Ablation switches: ``no_sampling`` and ``no_dynamic_ordering`` toggle
-    the corresponding accelerations off; ``no_temporal_stage`` re-types
-    temporal columns as plain numerical features before training.  Timing
-    covers the fit call only, never ingestion or reporting.
+    ``no_temporal_stage`` re-types temporal columns as plain numerical
+    features before training (the sampling and ordering ablations are
+    ``TrainConfig.sampling`` and ``dynamic_ordering``).  Timing covers the
+    fit call only, never ingestion or reporting.
     """
     config = train_config
-    if no_sampling:
-        config = replace(config, sampling=False)
-    if no_dynamic_ordering:
-        config = replace(config, dynamic_ordering=False)
     if no_temporal_stage:
         dataset = temporal_as_numerical(dataset)
         config = replace(config, temporal_rules={})

@@ -193,20 +193,40 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _require_finite(obj, where):
-    """Raise ``ValueError`` on a NaN or infinity anywhere in ``obj``;
-    orjson would write it as ``null``."""
+def _portable(obj, where):
+    """``obj`` with every numpy float as float64, checked finite.
+
+    orjson writes a float32 as its own shortest decimal and cannot write
+    a longdouble at all; converted first, each reads back as
+    ``float(np.float64(v))``.  Raises ``ValueError`` on a NaN or infinity,
+    which orjson would write as ``null``.
+    """
+    if isinstance(obj, np.floating):
+        obj = float(np.float64(obj))
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite number in {where}")
+        return obj
     if isinstance(obj, dict):
-        for key, value in obj.items():
-            _require_finite(value, f"{where}.{key}")
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            _require_finite(value, where)
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        return {key: _portable(value, f"{where}.{key}")
+                for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_portable(value, where) for value in obj]
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        obj = obj.astype(np.float64, copy=False)
         if not np.all(np.isfinite(obj)):
             raise ValueError(f"non-finite number in {where}")
-    elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        raise ValueError(f"non-finite number in {where}")
+    return obj
+
+
+def _integer(value, what):
+    """``value`` if it is a JSON integer (not a boolean), else
+    ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(
+            f"malformed model payload: {what} is {value!r}, not an integer"
+        )
+    return value
 
 
 def _curve_payload(curve):
@@ -255,9 +275,9 @@ def serialize(model):
         },
         "diagnostics": model.diagnostics,
     }
-    _require_finite(doc, "model")
     return orjson.dumps(
-        doc, option=orjson.OPT_SERIALIZE_NUMPY, default=_plain
+        _portable(doc, "model"), option=orjson.OPT_SERIALIZE_NUMPY,
+        default=_plain,
     )
 
 
@@ -283,8 +303,8 @@ def deserialize(payload):
     try:
         temporals = {
             name: TemporalCurves(
-                tau=int(entry["tau"]),
-                period=int(entry["period"]),
+                tau=_integer(entry["tau"], f"'{name}' tau"),
+                period=_integer(entry["period"], f"'{name}' period"),
                 trend=_curve_from_payload(entry["trend"]),
                 seasonal_phases=tuple(
                     _curve_from_payload(c) for c in entry["seasonal_phases"]

@@ -182,22 +182,14 @@ class SplitFactor:
 class TemporalSmoothers:
     """The kernel trend smoother and one kernel smoother per phase set.
 
-    Each is a callable mapping a target on its knots to fitted values.
+    Each is a callable mapping a target on its knots to fitted values;
+    an empty phase set, which :func:`decompose` skips, has ``None``.
     They depend only on the time points, their weights, the partition and
     the config, so one set serves every :func:`decompose` call of a fit.
     """
 
     trend: object
     phases: tuple
-
-
-def _kernel_smoother(times, weights, config):
-    """Closure fitting targets on fixed knots with the kernel backend."""
-    if times.size == 0:
-        return lambda target: target
-    # extended precision, as fast_kernel_smooth certifies it
-    h = default_bandwidth(times, config.bandwidth_factor)
-    return KernelSmootherPlan(times, h, weights).smooth
 
 
 def build_smoothers(series, partition, config):
@@ -215,12 +207,16 @@ def build_smoothers(series, partition, config):
                            config.trend_penalty, config.seasonal_penalty)
     if config.backend != "fast-kernel":
         raise ValueError(f"unknown backend '{config.backend}'")
+
+    def plan(idx):
+        x = times[idx]
+        h = default_bandwidth(x, config.bandwidth_factor)
+        return KernelSmootherPlan(x, h, weights[idx]).smooth
+
     return TemporalSmoothers(
-        trend=_kernel_smoother(times, weights, config),
-        phases=tuple(
-            _kernel_smoother(times[idx], weights[idx], config)
-            for idx in partition.phase_sets
-        ),
+        trend=plan(slice(None)),
+        phases=tuple(plan(idx) if idx.size else None
+                     for idx in partition.phase_sets),
     )
 
 

@@ -218,12 +218,8 @@ class _NumericalCache:
                         f"smoothness={config.smoothness}: {exc}"
                     ) from exc
         else:
-            # float64 accumulation: under the bandwidth rule the window
-            # cancellation amplifies roundoff by ~n^0.4, orders of
-            # magnitude below every training tolerance
-            self.plan = KernelSmootherPlan(
-                self.knots, self.bandwidth, self.counts, dtype=np.float64
-            )
+            self.plan = KernelSmootherPlan(self.knots, self.bandwidth,
+                                           self.counts)
         self.config = config
 
     def knot_means(self, record_values):
@@ -650,9 +646,8 @@ class _SampleSmoother:
         self.counts = counts[populated].astype(float)
         self.centres = lo + (np.flatnonzero(populated) + 0.5) * width
         self.bandwidth = half * width
-        self.plan = KernelSmootherPlan(
-            self.centres, self.bandwidth, self.counts, dtype=np.float64
-        )
+        self.plan = KernelSmootherPlan(self.centres, self.bandwidth,
+                                       self.counts)
 
     def sweep(self, target):
         """Smooth per-record ``target``; returns the record-mean-centred

@@ -131,7 +131,7 @@ class TestEvaluate:
         rc = main([
             "evaluate", "--data", pipeline["data"], "--schema",
             pipeline["schema"], "--folds", "2", "--no-sampling",
-            "--no-dfi-ablation", "--no-temporal-stage",
+            "--no-dfi", "--no-temporal-stage",
             "--report", str(tmp_path / "r.csv"),
         ])
         assert rc == 0

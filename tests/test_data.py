@@ -135,12 +135,6 @@ class TestHomogeneousEncoding:
         assert np.all(hot.sum(axis=1) == 4)
         assert np.all(hot <= 1)
 
-    def test_index_of_matches_labels(self):
-        ds = _dataset({"z": np.array(["b", "a"])})
-        enc = build_homogeneous_encoding(ds)
-        assert all(enc.labels[i] == lab for lab, i in enc.index_of.items())
-
-
     def test_mixed_type_column_keyed_by_str(self):
         ds = _dataset({"c": np.array(["a", 1, None, "1"], dtype=object)})
         enc = build_homogeneous_encoding(ds)

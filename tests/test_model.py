@@ -414,6 +414,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"non-finite number in model\."):
             serialize(model)
 
+    @pytest.mark.parametrize("value", [
+        np.longdouble(1) / np.longdouble(3), np.float32(0.1),
+    ], ids=["longdouble", "float32"])
+    def test_numpy_float_diagnostics_written_as_float64(self, value):
+        model = replace(small_model(), diagnostics={
+            "x": value, "xs": np.array([value, -value]), "nested": [value],
+        })
+        clone = deserialize(serialize(model))
+        expected = float(np.float64(value))
+        assert clone.diagnostics == {
+            "x": expected, "xs": [expected, -expected], "nested": [expected],
+        }
+
     def test_version_mismatch_rejected(self, trained):
         _, model = trained
         payload = serialize(model).replace(
@@ -434,6 +447,9 @@ class TestSerialization:
     @pytest.mark.parametrize("field,value,message", [
         ("tau", 0, "must be positive"), ("period", 0, "must be positive"),
         ("period", 3, "2 seasonal phases for period=3"),
+        ("tau", 2.7, "malformed model payload"),
+        ("period", "24", "malformed model payload"),
+        ("tau", True, "malformed model payload"),
     ])
     def test_inconsistent_temporal_entry_rejected(self, field, value,
                                                   message):

@@ -12,7 +12,6 @@ from fxam.data import Dataset, compress_time_points, partition_phases
 from fxam.smoothers import (
     KernelSmootherPlan,
     default_bandwidth,
-    fast_kernel_smooth,
     naive_kernel_smooth,
     second_difference_matrix,
 )
@@ -180,17 +179,19 @@ class TestPrebuiltSmoothers:
         def one_shot(idx, target):
             x, w = knots[idx], weights[idx]
             h = default_bandwidth(x, config.bandwidth_factor)
-            return fast_kernel_smooth(x, target, h, w)
+            return naive_kernel_smooth(x, target, h, w)
 
         everything = np.arange(knots.size)
         for _ in range(2):  # a smoother serves any number of targets
             target = rng.normal(0, 1, knots.size)
-            np.testing.assert_array_equal(
+            np.testing.assert_allclose(
                 smoothers.trend(target), one_shot(everything, target),
+                rtol=1e-9, atol=1e-12,
             )
             for idx, fit in zip(partition.phase_sets, smoothers.phases):
-                np.testing.assert_array_equal(
+                np.testing.assert_allclose(
                     fit(target[idx]), one_shot(idx, target[idx]),
+                    rtol=1e-9, atol=1e-12,
                 )
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -249,6 +250,28 @@ class TestPrebuiltSmoothers:
         tsi_train(dataset, config)
         assert len(decomposes) >= 2
         assert len(builds) == expected
+
+    def test_kernel_fit_plans_in_float64(self, monkeypatch):
+        times, values = _seasonal_series(31, 100, 5)
+        dataset = Dataset(response=values, numerical={"x": values[::-1]},
+                          temporal={"t": times})
+        config = TrainConfig(
+            backend="fast-kernel", sampling_threshold=10,
+            temporal_rules={"t": TemporalRule(period=5)},
+            max_inner_iterations=3,
+        )
+        plans = []
+        init = KernelSmootherPlan.__init__
+
+        def record(plan, *args, **kwargs):
+            init(plan, *args, **kwargs)
+            plans.append(plan)
+
+        monkeypatch.setattr(KernelSmootherPlan, "__init__", record)
+        tsi_train(dataset, config)
+        # stage 1, the sampling initialization, the trend and 5 phases
+        assert len(plans) >= 8
+        assert {plan.dtype for plan in plans} == {np.float64}
 
 
 HOURS = 17_520  # two years of hourly time points
