@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import time
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import orjson
 
 from .data import Dataset
 from .model import predict_batch
@@ -122,9 +124,19 @@ def ingest_csv(path, schema, require_response=True):
     Numeric parse failures report the row and column; temporal values
     must be integer multiples of the column's tau.
 
-    numpy's C reader parses the file; a file it could read differently
-    from ``float`` and the ``csv`` module, or one that holds any error, is
-    parsed again row by row, which writes the error message.
+    Three readers, each bit for bit what the next gives:
+
+    * orjson, for a schema with no categorical column, a chunk of lines
+      at a time.  It passes a file on unless every line holds the
+      header's count of JSON numbers, so quotes, blank lines, lone CRs,
+      ragged rows, text, and spellings JSON does not share with
+      ``float`` (``+1``, ``.5``, ``1.``, ``01``, ``nan``, ``inf``,
+      ``1e400``) go on.  So does the integer ``-0`` in a chunk with a
+      zero, which orjson reads as ``0`` and ``float`` as ``-0.0``.
+    * numpy's C reader, for label files and what orjson passes on.
+    * The per-row parser (``csv`` and ``float``), for a file numpy's
+      reader could read differently from them, or one that holds any
+      error; it writes the error message.
     """
     dataset = _ingest_fast(path, schema, require_response)
     if dataset is None:
@@ -145,6 +157,17 @@ def _column_positions(header, schema, require_response):
     return positions, None
 
 
+# Bytes a data line may hold, besides its commas and its line end, for
+# the JSON reader to take the file: those of JSON numbers, and the blanks
+# that both JSON and float() skip around a number.
+_NUMBER_BYTES = b"0123456789+-.eE \t"
+# Bytes of whole lines per orjson call.  Each chunk's columns are copied
+# out before the next is read, so the list of Python floats orjson
+# returns stays small.
+_JSON_CHUNK_BYTES = 1 << 18
+# orjson reads the JSON integer -0 as 0, where float("-0") is -0.0; a
+# chunk that parsed to a zero and holds this goes to the next reader.
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
 # Bytes that send a file to the per-row parser: np.loadtxt strips the
 # separators \x1c-\x1f around a number where float() rejects them, and a
 # fixed-width string array drops a label's trailing NUL.
@@ -155,6 +178,51 @@ _FAST_CHUNK_ROWS = 2048
 # Labels are parsed as <U{_LABEL_WIDTH}; a file with a label that fills
 # the width, and so may have been cut, goes to the per-row parser.
 _LABEL_WIDTH = 32
+
+
+def _read_json(path, header, positions):
+    """The fields at ``positions`` of every data row, parsed by orjson a
+    chunk of lines at a time; None unless every line after the header
+    holds ``len(header)`` JSON numbers, each read as ``float`` reads it."""
+    width = len(header)
+    line_shape = b"," * (width - 1) + b"\n"
+    pieces = [[] for _ in positions]
+    with open(path, "rb") as handle:
+        line = handle.readline()
+        # the csv header, unless a quote or a line break inside the line
+        # makes the two readers split the file differently
+        if line.removesuffix(b"\n").removesuffix(b"\r") != \
+                ",".join(header).encode("utf-8"):
+            return None
+        while chunk := handle.read(_JSON_CHUNK_BYTES) + handle.readline():
+            if b"\r" in chunk:
+                chunk = chunk.replace(b"\r\n", b"\n")
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+            # one pass that rejects ragged or blank lines, quotes, lone
+            # CRs and every byte no JSON number holds
+            shape = chunk.translate(None, _NUMBER_BYTES)
+            lines = len(shape) // width
+            if shape != line_shape * lines:
+                return None
+            try:
+                values = np.array(orjson.loads(
+                    b"[" + chunk[:-1].replace(b"\n", b",") + b"]"
+                ), dtype=float)
+            except orjson.JSONDecodeError:
+                return None
+            if not values.all() and _INTEGER_MINUS_ZERO.search(chunk):
+                return None
+            rows = values.reshape(lines, width)
+            for piece, position in zip(pieces, positions):
+                piece.append(rows[:, position].copy())
+    if not pieces[0]:
+        return None
+    columns = []
+    for piece in pieces:
+        columns.append(np.concatenate(piece))
+        piece.clear()
+    return columns
 
 
 def _data_line_count(path):
@@ -219,10 +287,10 @@ def _read_labels(path, positions, n_rows):
 
 
 def _ingest_fast(path, schema, require_response):
-    """What ``_ingest_rows`` returns, parsed by np.loadtxt; None for a file
-    that is not plainly regular (a blank row, a quoted line break, a
-    non-finite value, a field ``float`` reads differently, any error or
-    warning)."""
+    """What ``_ingest_rows`` returns, parsed by orjson or np.loadtxt; None
+    for a file that is not plainly regular (a blank row, a quoted line
+    break, a non-finite value, a field ``float`` reads differently, any
+    error or warning)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -232,11 +300,10 @@ def _ingest_fast(path, schema, require_response):
 
 
 def _parse_fast(path, schema, require_response):
-    n_rows = _data_line_count(path)
-    if n_rows is None or n_rows < 1:
-        return None
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        header = next(csv.reader(handle))
+        header = next(csv.reader(handle), None)
+    if header is None:
+        return None
     positions, missing = _column_positions(header, schema, require_response)
     if missing is not None:
         return None
@@ -245,8 +312,16 @@ def _parse_fast(path, schema, require_response):
         if col.name in positions and col.kind != "categorical"
     ]
     labels = schema.of_kind("categorical")
+    number_positions = [positions[c.name] for c in numbers]
+    values = None if labels else _read_json(path, header, number_positions)
+    if values is not None:
+        n_rows = values[0].size
+    else:
+        n_rows = _data_line_count(path)
+        if n_rows is None or n_rows < 1:
+            return None
+        values = _read_numbers(path, number_positions, n_rows)
     parsed = {}
-    values = _read_numbers(path, [positions[c.name] for c in numbers], n_rows)
     for col, column in zip(numbers, values):
         if not np.all(np.isfinite(column)):
             return None

@@ -163,11 +163,8 @@ def predict_batch(model, columns):
             )
         times = t.astype(float)
         total += _interp(name, times, tc.trend)
-        phases = (t // tc.tau) % tc.period
-        for phi, curve in enumerate(tc.seasonal_phases):
-            if not curve.is_empty:
-                mask = phases == phi
-                total[mask] += np.interp(times[mask], curve.knots, curve.values)
+        _add_seasonal(total, times, (t // tc.tau) % tc.period,
+                      tc.seasonal_phases)
     return total
 
 
@@ -175,6 +172,49 @@ def _interp(name, x, curve):
     if curve.is_empty:
         raise ValueError(f"feature '{name}': cannot evaluate an empty curve")
     return np.interp(x, curve.knots, curve.values)
+
+
+def _add_seasonal(total, times, phases, curves):
+    """Add to each row its own phase's curve at its time; a row of an
+    empty phase gets nothing added.
+
+    One np.interp runs over every populated phase's knots, phase phi's
+    moved to ``(knot - lowest knot) + phi * (span + 1)``, and each time is
+    clamped to its own phase's knots before it moves, so no row
+    interpolates across a seam.  When the knots are integers and the
+    moved ones stay within 2**53, every difference np.interp takes is
+    exact and equals the one it takes on the phase's own curve, so the
+    result is bit for bit that of one np.interp per phase.  Other curves
+    get one np.interp per phase.
+    """
+    populated = [phi for phi, curve in enumerate(curves)
+                 if not curve.is_empty]
+    if not populated:
+        return
+    knots = np.concatenate([curves[phi].knots for phi in populated])
+    low = knots.min()
+    step = knots.max() - low + 1
+    if np.any(knots != np.round(knots)) or len(curves) * step > 2.0 ** 53:
+        for phi in populated:
+            mask = phases == phi
+            total[mask] += np.interp(times[mask], curves[phi].knots,
+                                     curves[phi].values)
+        return
+    first = np.zeros(len(curves))
+    last = np.zeros(len(curves))
+    has_curve = np.zeros(len(curves), dtype=bool)
+    for phi in populated:
+        first[phi] = curves[phi].knots[0]
+        last[phi] = curves[phi].knots[-1]
+        has_curve[phi] = True
+    offsets = np.arange(len(curves)) * step
+    moved = np.concatenate([
+        (curves[phi].knots - low) + offsets[phi] for phi in populated
+    ])
+    values = np.concatenate([curves[phi].values for phi in populated])
+    x = (np.clip(times, first[phases], last[phases]) - low) + offsets[phases]
+    np.add(total, np.interp(x, moved, values), out=total,
+           where=has_curve[phases])
 
 
 # --- serialization ---------------------------------------------------------

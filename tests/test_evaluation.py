@@ -1,5 +1,6 @@
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,54 +164,96 @@ TEMPORAL_SCHEMA = SchemaFile(columns=(
     ColumnSpec(name="y", kind="response"),
 ))
 
-# (id, file text, schema, require_response, error text or None, whether
-# numpy's reader takes the file)
+IGNORE_SCHEMA = SchemaFile(columns=(
+    ColumnSpec(name="x", kind="numerical"),
+    ColumnSpec(name="i", kind="ignore"),
+    ColumnSpec(name="y", kind="response"),
+))
+
+# (id, file text, schema, require_response, error text or None, the
+# reader that takes the file: "json" (orjson), "loadtxt" (np.loadtxt) or
+# None for the per-row parser)
 INGEST_CASES = [
     ("blank-line-mid", "x,y\n1,2\n\n3,4\n", NUMERIC_SCHEMA, True,
-     "row 3: column 'x': missing field", False),
+     "row 3: column 'x': missing field", None),
     ("blank-line-end", "x,y\n1,2\n3,4\n\n", NUMERIC_SCHEMA, True,
-     "row 4: column 'x': missing field", False),
+     "row 4: column 'x': missing field", None),
     ("hash-in-label", "c,x,y\na#1,1,2\n#b,2,3\n", LABEL_SCHEMA, True,
-     None, True),
+     None, "loadtxt"),
     ("spaces-around-fields", "c,x,y\n a ,  1.5 ,2\nb, 2,3 \n",
-     LABEL_SCHEMA, True, None, True),
+     LABEL_SCHEMA, True, None, "loadtxt"),
     ("quoted-comma", 'c,x,y\n"a,b",1,2\nc,2,3\n', LABEL_SCHEMA, True,
-     None, True),
+     None, "loadtxt"),
     ("doubled-quote", 'c,x,y\n"say ""hi""",1,2\nc,2,3\n', LABEL_SCHEMA,
-     True, None, True),
+     True, None, "loadtxt"),
     ("quote-inside-field", 'c,x,y\na"b,1,2\n"ab"c,2,3\n', LABEL_SCHEMA,
-     True, None, True),
+     True, None, "loadtxt"),
     ("quoted-line-break", 'c,x,y\n"a\nb",1,2\nc,2,3\n', LABEL_SCHEMA,
-     True, None, False),
+     True, None, None),
     ("crlf", "c,x,y\r\na,1,2\r\nb,2,3\r\n", LABEL_SCHEMA, True, None,
-     True),
-    ("cr-only", "x,y\r1,2\r3,4\r", NUMERIC_SCHEMA, True, None, False),
-    ("no-final-newline", "x,y\n1,2\n3,4", NUMERIC_SCHEMA, True, None, True),
+     "loadtxt"),
+    ("cr-only", "x,y\r1,2\r3,4\r", NUMERIC_SCHEMA, True, None, None),
+    ("no-final-newline", "x,y\n1,2\n3,4", NUMERIC_SCHEMA, True, None,
+     "json"),
+    ("crlf-numbers", "x,y\r\n1,2\r\n3,4\r\n", NUMERIC_SCHEMA, True, None,
+     "json"),
     ("underscore-digits", "x,y\n1_0,2\n3,4\n", NUMERIC_SCHEMA, True, None,
-     False),
+     None),
     ("unit-separator", "x,y\n1\x1f,2\n", NUMERIC_SCHEMA, True,
-     "row 2: column 'x': could not parse", False),
+     "row 2: column 'x': could not parse", None),
     ("nan", "x,y\n1,2\nnan,3\n", NUMERIC_SCHEMA, True,
-     "row 3: column 'x': non-finite value", False),
+     "row 3: column 'x': non-finite value", None),
     ("inf", "x,y\n1,inf\n", NUMERIC_SCHEMA, True,
-     "row 2: column 'y': non-finite value", False),
+     "row 2: column 'y': non-finite value", None),
     ("overflow", "x,y\n1e400,2\n", NUMERIC_SCHEMA, True,
-     "row 2: column 'x': non-finite value", False),
+     "row 2: column 'x': non-finite value", None),
     ("extra-trailing-fields", "x,y\n1,2,extra\n3,4,5,6\n",
-     NUMERIC_SCHEMA, True, None, True),
+     NUMERIC_SCHEMA, True, None, "loadtxt"),
     ("short-row", "c,x,y\na,1,2\nb,2\n", LABEL_SCHEMA, True,
-     "row 3: column 'y': missing field", False),
+     "row 3: column 'y': missing field", None),
     ("long-label", "c,x,y\n" + "a" * 40 + ",1,2\n", LABEL_SCHEMA, True,
-     None, False),
+     None, None),
     ("integer-temporal", "t,y\n2,1\n4.0,1\n", TEMPORAL_SCHEMA, True, None,
-     True),
+     "json"),
     ("non-integer-temporal", "t,y\n2,1\n2.5,1\n", TEMPORAL_SCHEMA, True,
-     "row 3: column 't': temporal values must be integers", False),
+     "row 3: column 't': temporal values must be integers", None),
     ("temporal-not-divisible", "t,y\n2,1\n3,1\n", TEMPORAL_SCHEMA, True,
-     "row 3: column 't': time 3 is not divisible by tau=2", False),
-    ("header-only", "x,y\n", NUMERIC_SCHEMA, True, "no data rows", False),
-    ("empty-file", "", NUMERIC_SCHEMA, True, "empty file", False),
-    ("no-response-column", "x\n1\n2\n", NUMERIC_SCHEMA, False, None, True),
+     "row 3: column 't': time 3 is not divisible by tau=2", None),
+    ("header-only", "x,y\n", NUMERIC_SCHEMA, True, "no data rows", None),
+    ("empty-file", "", NUMERIC_SCHEMA, True, "empty file", None),
+    ("no-response-column", "x\n1\n2\n", NUMERIC_SCHEMA, False, None,
+     "json"),
+    # orjson reads the integer -0 as +0, where float("-0") is -0.0
+    ("minus-zero-field", "x,y\n-0,1\n2,3\n", NUMERIC_SCHEMA, True, None,
+     "loadtxt"),
+    ("minus-zero-response", "x,y\n1,2\n3,-0\n", NUMERIC_SCHEMA, True,
+     None, "loadtxt"),
+    ("exponent-minus-zero", "x,y\n1e-0,2\n3,4\n", NUMERIC_SCHEMA, True,
+     None, "json"),
+    # spellings float() reads and JSON does not
+    ("plus-sign", "x,y\n+1,2\n3,4\n", NUMERIC_SCHEMA, True, None,
+     "loadtxt"),
+    ("leading-point", "x,y\n.5,2\n3,4\n", NUMERIC_SCHEMA, True, None,
+     "loadtxt"),
+    ("trailing-point", "x,y\n1.,2\n3,4\n", NUMERIC_SCHEMA, True, None,
+     "loadtxt"),
+    ("leading-zero", "x,y\n01,2\n3,4\n", NUMERIC_SCHEMA, True, None,
+     "loadtxt"),
+    ("lone-cr-mid-row", "x,y\n1,2\r3,4\n", NUMERIC_SCHEMA, True, None,
+     None),
+    ("lone-cr-after-header", "x,y\r1,2\n3,4\n", NUMERIC_SCHEMA, True,
+     None, None),
+    ("ragged-rows-cancel-out", "x,y\n1,2,3\n4\n", NUMERIC_SCHEMA, True,
+     "row 3: column 'y': missing field", None),
+    # a JSON literal orjson would read as a number
+    ("json-literal", "x,y\n1,2\ntrue,4\n", NUMERIC_SCHEMA, True,
+     "row 3: column 'x': could not parse 'true'", None),
+    ("quoted-number", 'x,y\n"1",2\n3,4\n', NUMERIC_SCHEMA, True, None,
+     "loadtxt"),
+    ("blank-field-one-column", "x\n1\n \n", NUMERIC_SCHEMA, False,
+     "row 3: column 'x': could not parse", None),
+    ("text-in-ignored-column", "x,i,y\n1,abc,2\n3,4,5\n", IGNORE_SCHEMA,
+     True, None, "loadtxt"),
 ]
 
 
@@ -221,21 +264,50 @@ def outcome(parse):
         return None, str(error)
 
 
-class TestIngestPaths:
-    """numpy's reader and the per-row parser give the same result."""
+def reader_taking(path, schema, require_response, monkeypatch):
+    """The fast path's Dataset and the reader that made it, or (None,
+    None) when the file is left to the per-row parser."""
+    read_json = fxam.evaluation._read_json
+    results = []
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2048])
+    def spy(*args):
+        results.append(read_json(*args))
+        return results[-1]
+
+    monkeypatch.setattr(fxam.evaluation, "_read_json", spy)
+    taken = fxam.evaluation._ingest_fast(path, schema, require_response)
+    if taken is None:
+        return None, None
+    return taken, "json" if results and results[0] is not None else "loadtxt"
+
+
+def write_text(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
+class TestIngestPaths:
+    """orjson, numpy's reader and the per-row parser give one result."""
+
+    # a few bytes per JSON chunk, so rows straddle the chunk seams
     @pytest.mark.parametrize(
-        "text, schema, require_response, error, fast",
+        "chunk_rows, chunk_bytes",
+        [(1, 3), (2048, fxam.evaluation._JSON_CHUNK_BYTES)],
+        ids=["1", "2048"],
+    )
+    @pytest.mark.parametrize(
+        "text, schema, require_response, error, reader",
         [case[1:] for case in INGEST_CASES],
         ids=[case[0] for case in INGEST_CASES],
     )
-    def test_same_result(self, tmp_path, monkeypatch, chunk_rows, text,
-                         schema, require_response, error, fast):
+    def test_same_result(self, tmp_path, monkeypatch, chunk_rows,
+                         chunk_bytes, text, schema, require_response, error,
+                         reader):
         monkeypatch.setattr(fxam.evaluation, "_FAST_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(fxam.evaluation, "_JSON_CHUNK_BYTES",
+                            chunk_bytes)
         path = tmp_path / "data.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        write_text(path, text)
         expected, expected_error = outcome(
             lambda: fxam.evaluation._ingest_rows(path, schema,
                                                  require_response)
@@ -243,8 +315,9 @@ class TestIngestPaths:
         got, got_error = outcome(
             lambda: ingest_csv(path, schema, require_response)
         )
-        taken = fxam.evaluation._ingest_fast(path, schema, require_response)
-        assert (taken is not None) == fast
+        taken, taken_by = reader_taking(path, schema, require_response,
+                                        monkeypatch)
+        assert taken_by == reader
         if error is None:
             assert expected_error is None and got_error is None
             assert_same_dataset(got, expected)
@@ -264,6 +337,99 @@ class TestIngestPaths:
         dataset = ingest_csv(path, LABEL_SCHEMA)
         assert dataset.categorical["c"].dtype == np.dtype("<U1")
         np.testing.assert_array_equal(dataset.numerical["x"], [1.5, 2.5])
+
+    def test_number_file_skips_loadtxt_and_row_parser(self, tmp_path,
+                                                      monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt or the per-row parser called")
+
+        monkeypatch.setattr(fxam.evaluation, "_ingest_rows", refuse)
+        monkeypatch.setattr(fxam.evaluation.np, "loadtxt", refuse)
+        path = tmp_path / "data.csv"
+        write_lines(path, ["t,x,y", "2,1.5,-2.0", "4,2.5e-3,3"])
+        schema = SchemaFile(columns=(
+            ColumnSpec(name="t", kind="temporal", tau=2, period=3),
+            ColumnSpec(name="x", kind="numerical"),
+            ColumnSpec(name="y", kind="response"),
+        ))
+        dataset = ingest_csv(path, schema)
+        np.testing.assert_array_equal(dataset.temporal["t"], [2, 4])
+        np.testing.assert_array_equal(dataset.numerical["x"], [1.5, 2.5e-3])
+        np.testing.assert_array_equal(dataset.response, [-2.0, 3.0])
+
+
+# Field spellings for the ingest property: the shortest round-trip form
+# of any finite float, subnormals, integers past 2**64, and spellings
+# JSON reads differently from float() or not at all.
+number_fields = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e-300, 1e-300).map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.builds(
+        "{}e{}".format,
+        st.integers(-10**20, 10**20),
+        st.integers(-330, 330),
+    ),
+    st.sampled_from([
+        "0", "-0", "-0.0", "0.0", "1e-0", "-0e0", "+1", ".5", "1.", "01",
+        "-01", "1e400", "-1e400", "nan", "inf", "true", "null", "1_0",
+        " 7", "8 ", "\t9",
+        "2.4703282292062328e-324", "9007199254740993",
+        "1.00000000000000011102230246251565404236316680908203125",
+    ]),
+)
+
+
+@st.composite
+def number_files(draw):
+    """All-number CSV text, the schema it is read with, and a JSON chunk
+    size."""
+    width = draw(st.integers(2, 4))
+    names = [f"c{i}" for i in range(width)]
+    kinds = ["response"] + [
+        draw(st.sampled_from(["numerical", "numerical", "ignore"]))
+        for _ in names[1:]
+    ]
+    if "numerical" not in kinds:
+        kinds[1] = "numerical"
+    schema = SchemaFile(columns=tuple(
+        ColumnSpec(name=name, kind=kind) for name, kind in zip(names, kinds)
+    ))
+    rows = draw(st.lists(
+        st.lists(number_fields, min_size=width, max_size=width)
+        .map(",".join),
+        min_size=1, max_size=8,
+    ))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header_end = draw(st.sampled_from([newline, "\r"]))
+    text = ",".join(names) + header_end + newline.join(rows)
+    if draw(st.booleans()):
+        text += newline
+    chunk_bytes = draw(st.sampled_from(
+        [1, 7, 64, fxam.evaluation._JSON_CHUNK_BYTES]
+    ))
+    return text, schema, chunk_bytes
+
+
+class TestIngestProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(number_files())
+    def test_fast_path_declines_or_matches_row_parser(self, case):
+        text, schema, chunk_bytes = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "data.csv")
+            write_text(path, text)
+            expected, _ = outcome(
+                lambda: fxam.evaluation._ingest_rows(path, schema, True)
+            )
+            with mock.patch.object(fxam.evaluation, "_JSON_CHUNK_BYTES",
+                                   chunk_bytes):
+                taken = fxam.evaluation._ingest_fast(path, schema, True)
+        if taken is not None:
+            assert expected is not None
+            assert_same_dataset(taken, expected)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

@@ -237,6 +237,59 @@ UNSEEN = st.one_of(
 ).filter(lambda label: str(label) not in ("a", "b", "c"))
 
 
+TEMPORAL_ONLY = {"numerical": [], "categorical": [], "temporal": ["t"]}
+
+
+def loop_prediction(model, t):
+    """A one-temporal-feature model's predictions, each seasonal phase
+    evaluated by its own mask and np.interp call."""
+    tc = model.temporals["t"]
+    times = t.astype(float)
+    total = np.full(t.size, model.intercept)
+    total += np.interp(times, tc.trend.knots, tc.trend.values)
+    phases = (t // tc.tau) % tc.period
+    for phi, curve in enumerate(tc.seasonal_phases):
+        if not curve.is_empty:
+            mask = phases == phi
+            total[mask] += np.interp(times[mask], curve.knots, curve.values)
+    return total
+
+
+@st.composite
+def seasonal_cases(draw):
+    """A one-temporal-feature model and times to predict at.  Knots are
+    small integers, integers whose span is too wide to shift exactly, or
+    any floats."""
+    tau = draw(st.integers(1, 3))
+    period = draw(st.integers(1, 6))
+    reach = draw(st.sampled_from([60, 2**60]))
+    knot = draw(st.sampled_from([
+        st.integers(-reach, reach).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False),
+    ]))
+    # bounded, so no sum overflows
+    values = st.floats(-1e6, 1e6)
+
+    def curve(min_size):
+        knots = sorted(draw(st.sets(knot, min_size=min_size, max_size=6)))
+        return ShapeCurve(
+            knots, draw(st.lists(values, min_size=len(knots),
+                                 max_size=len(knots))),
+        )
+
+    curves = TemporalCurves(
+        tau=tau, period=period, trend=curve(1),
+        seasonal_phases=tuple(curve(0) for _ in range(period)),
+    )
+    model = FxamModel(
+        intercept=draw(values), shapes={}, betas={},
+        temporals={"t": curves}, schema=TEMPORAL_ONLY,
+    )
+    ticks = draw(st.lists(st.integers(-reach - 5, reach + 5), min_size=1,
+                          max_size=30))
+    return model, np.array(ticks, dtype=np.int64) * tau
+
+
 class TestPredictionProperties:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -267,6 +320,31 @@ class TestPredictionProperties:
         schema = dict(model.schema, categorical=["z2"])
         without = predict_batch(replace(model, schema=schema), columns)
         assert bits(got[hits]) == bits(without[hits])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=seasonal_cases())
+    @example(case=(
+        # an empty phase, a one-knot phase, times outside every knot, and
+        # -0.0 totals that an added +0.0 would turn into +0.0
+        FxamModel(
+            intercept=-0.0, shapes={}, betas={}, schema=TEMPORAL_ONLY,
+            temporals={"t": TemporalCurves(
+                tau=2, period=3,
+                trend=ShapeCurve([0.0], [-0.0]),
+                seasonal_phases=(
+                    ShapeCurve([0.0, 6.0, 12.0], [1.0, -0.0, 3.0]),
+                    ShapeCurve([], []),
+                    ShapeCurve([4.0], [-0.5]),
+                ),
+            )},
+        ),
+        np.array([-12, -2, 0, 2, 4, 6, 8, 10, 12, 14, 16, 40]),
+    ))
+    def test_seasonal_phases_match_one_interp_per_phase(self, case):
+        model, t = case
+        assert bits(predict_batch(model, {"t": t})) == bits(
+            loop_prediction(model, t)
+        )
 
 
 class TestSerialization:
