@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -64,14 +64,6 @@ def _train_flags(parser):
     group.add_argument("--seed", type=int)
 
 
-_FLAG_FIELDS = (
-    "backend", "smoothness", "categorical_ridge", "trend_smoothness",
-    "seasonal_smoothness", "bandwidth_factor", "outer_tol", "max_cycles",
-    "sampling", "dynamic_ordering", "sampling_threshold", "pilot_size",
-    "sampling_gamma", "seed",
-)
-
-
 def _build_train_config(args, schema=None):
     """Flags > config file > defaults, plus the schema's temporal rules."""
     values = {}
@@ -85,10 +77,11 @@ def _build_train_config(args, schema=None):
                 f"unknown training config fields: {sorted(unknown)}"
             )
         values.update(doc)
-    for name in _FLAG_FIELDS:
-        flag = getattr(args, name, None)
+    # every training flag's dest is the TrainConfig field it sets
+    for f in fields(TrainConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[name] = flag
+            values[f.name] = flag
     rules = dict(values.get("temporal_rules", {}))
     rules = {
         name: rule if isinstance(rule, TemporalRule)
@@ -246,7 +239,7 @@ def _cmd_sweep(args):
         args.name, difficulty=args.difficulty, scale=args.scale,
         seed=args.seed,
     )
-    schema = None
+    base = _build_train_config(args)
     rows = [[
         "records", "features", "numerical_ratio", "seasonality",
         "mean_rmse", "mean_train_seconds",
@@ -258,10 +251,9 @@ def _cmd_sweep(args):
             name: TemporalRule(period=TEMPORAL_PERIOD, tau=1)
             for name in dataset.temporal
         }
-        train_config = _build_train_config(args)
-        train_config = _replace_rules(train_config, rules)
         report = run_experiment(
-            dataset, train_config, k=args.folds, seed=args.split_seed,
+            dataset, replace(base, temporal_rules=rules), k=args.folds,
+            seed=args.split_seed,
         )
         if not report.converged:
             exit_code = NON_CONVERGENCE
@@ -281,12 +273,6 @@ def _cmd_sweep(args):
         csv.writer(handle).writerows(rows)
     print(f"sweep written to {args.out}")
     return exit_code
-
-
-def _replace_rules(config, rules):
-    from dataclasses import replace
-
-    return replace(config, temporal_rules=rules)
 
 
 def build_parser():

@@ -133,7 +133,9 @@ def ingest_csv(path, schema, require_response=True):
       ``float`` (``+1``, ``.5``, ``1.``, ``01``, ``nan``, ``inf``,
       ``1e400``) go on.  So does the integer ``-0`` in a chunk with a
       zero, which orjson reads as ``0`` and ``float`` as ``-0.0``.
-    * numpy's C reader, for label files and what orjson passes on.
+    * numpy's C reader, for label files and what orjson passes on: one
+      ``np.loadtxt`` pass per chunk of rows reads a label file's numbers
+      and labels together.
     * The per-row parser (``csv`` and ``float``), for a file numpy's
       reader could read differently from them, or one that holds any
       error; it writes the error message.
@@ -238,13 +240,24 @@ def _data_line_count(path):
     return lines - 1 + (last != b"\n")
 
 
-def _blocks(path, positions, n_rows, dtype):
-    """The fields at ``positions`` of every data row, in row chunks.
+def _read_columns(path, positions, kinds, n_rows):
+    """The fields at ``positions`` of every data row, one np.loadtxt call
+    per chunk of rows: float64, or <U{longest label}> for a categorical
+    kind (the dtype np.array gives a list of the labels); None if a label
+    may have been cut.
 
     Raises ValueError (or a warning, under an "error" filter) unless the
     file holds exactly ``n_rows`` rows after the header, none of them
     blank.
     """
+    dtype = np.dtype([
+        (f"f{i}", f"<U{_LABEL_WIDTH}" if kind == "categorical" else float)
+        for i, kind in enumerate(kinds)
+    ])
+    # label pieces in a list, numbers straight into their column
+    columns = [
+        [] if kind == "categorical" else np.empty(n_rows) for kind in kinds
+    ]
     with open(path, "r", encoding="utf-8", newline="") as handle:
         next(csv.reader(handle))
         for start in range(0, n_rows, _FAST_CHUNK_ROWS):
@@ -252,38 +265,26 @@ def _blocks(path, positions, n_rows, dtype):
             block = np.loadtxt(
                 handle, dtype=dtype, comments=None, delimiter=",",
                 quotechar='"', usecols=positions, max_rows=stop - start,
-                ndmin=2, encoding="utf-8",
+                ndmin=1, encoding="utf-8",
             )
             if block.shape[0] != stop - start:
                 raise ValueError("fewer rows than lines")
-            yield start, stop, block
+            for column, name in zip(columns, dtype.names):
+                values = block[name]
+                if isinstance(column, list):
+                    width = np.char.str_len(values).max()
+                    if width >= _LABEL_WIDTH:
+                        return None
+                    column.append(values.astype(f"<U{max(1, width)}"))
+                else:
+                    column[start:stop] = values
         if handle.read(1):
             raise ValueError("more rows than lines")
-
-
-def _read_numbers(path, positions, n_rows):
-    columns = [np.empty(n_rows) for _ in positions]
-    if positions:
-        for start, stop, block in _blocks(path, positions, n_rows, float):
-            for column, values in zip(columns, block.T):
-                column[start:stop] = values
-    return columns
-
-
-def _read_labels(path, positions, n_rows):
-    """Label columns with the dtype np.array gives a list of them,
-    <U{longest label}; None if a label may have been cut."""
-    pieces = [[] for _ in positions]
-    if positions:
-        dtype = f"<U{_LABEL_WIDTH}"
-        for _, _, block in _blocks(path, positions, n_rows, dtype):
-            widths = np.char.str_len(block).max(axis=0)
-            if widths.max() >= _LABEL_WIDTH:
-                return None
-            for piece, labels, width in zip(pieces, block.T, widths):
-                piece.append(labels.astype(f"<U{max(1, width)}"))
-    # joined pieces take the widest piece's width
-    return [np.concatenate(piece) for piece in pieces]
+    # joined label pieces take the widest piece's width
+    return [
+        np.concatenate(column) if isinstance(column, list) else column
+        for column in columns
+    ]
 
 
 def _ingest_fast(path, schema, require_response):
@@ -307,23 +308,23 @@ def _parse_fast(path, schema, require_response):
     positions, missing = _column_positions(header, schema, require_response)
     if missing is not None:
         return None
-    numbers = [
-        col for col in schema.columns
-        if col.name in positions and col.kind != "categorical"
-    ]
+    present = [col for col in schema.columns if col.name in positions]
     labels = schema.of_kind("categorical")
-    number_positions = [positions[c.name] for c in numbers]
-    values = None if labels else _read_json(path, header, number_positions)
-    if values is not None:
-        n_rows = values[0].size
+    places = [positions[c.name] for c in present]
+    columns = None if labels else _read_json(path, header, places)
+    if columns is not None:
+        n_rows = columns[0].size
     else:
         n_rows = _data_line_count(path)
         if n_rows is None or n_rows < 1:
             return None
-        values = _read_numbers(path, number_positions, n_rows)
+        columns = _read_columns(path, places, [c.kind for c in present],
+                                n_rows)
+        if columns is None:
+            return None
     parsed = {}
-    for col, column in zip(numbers, values):
-        if not np.all(np.isfinite(column)):
+    for col, column in zip(present, columns):
+        if col.kind != "categorical" and not np.all(np.isfinite(column)):
             return None
         if col.kind == "temporal":
             if np.any(column != np.round(column)):
@@ -332,10 +333,6 @@ def _parse_fast(path, schema, require_response):
             if np.any(column % col.tau != 0):
                 return None
         parsed[col.name] = column
-    texts = _read_labels(path, [positions[c.name] for c in labels], n_rows)
-    if texts is None:
-        return None
-    parsed.update(zip((c.name for c in labels), texts))
     name = schema.response.name
     return Dataset(
         response=parsed[name] if name in parsed else np.zeros(n_rows),

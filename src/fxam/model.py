@@ -120,7 +120,9 @@ def predict_batch(model, columns):
     Raises
     ------
     ValueError
-        Naming the column, on a missing, misshapen or invalid column.
+        Naming the column, on a missing, misshapen or invalid column;
+        naming the first record (counted from 0) whose terms sum past the
+        float range.
     """
     names = (
         model.schema["numerical"]
@@ -140,31 +142,40 @@ def predict_batch(model, columns):
                 f"{col.shape}"
             )
     total = np.full(n, model.intercept)
-    for name in model.schema["numerical"]:
-        x = float_column(arrays[name], name)
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"column '{name}': non-finite value")
-        total += _interp(name, x, model.shapes[name])
-    for name in model.schema["categorical"]:
-        values, codes = factorize(arrays[name])
-        weights = np.array([
-            model.betas.get(f"{name}{LABEL_SEPARATOR}{v}", 0.0)
-            for v in values.tolist()
-        ])
-        total += weights[codes]
-    for name in model.schema["temporal"]:
-        tc = model.temporals[name]
-        t = integer_times(arrays[name], name)
-        if np.any(t % tc.tau != 0):
-            bad = t[t % tc.tau != 0][0]
-            raise ValueError(
-                f"column '{name}': time {bad} is not divisible by "
-                f"tau={tc.tau}"
-            )
-        times = t.astype(float)
-        total += _interp(name, times, tc.trend)
-        _add_seasonal(total, times, (t // tc.tau) % tc.period,
-                      tc.seasonal_phases)
+    # finite terms can sum past the float range; the check below names
+    # the first record whose sum does
+    with np.errstate(over="ignore"):
+        for name in model.schema["numerical"]:
+            x = float_column(arrays[name], name)
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"column '{name}': non-finite value")
+            total += _interp(name, x, model.shapes[name])
+        for name in model.schema["categorical"]:
+            values, codes = factorize(arrays[name])
+            weights = np.array([
+                model.betas.get(f"{name}{LABEL_SEPARATOR}{v}", 0.0)
+                for v in values.tolist()
+            ])
+            total += weights[codes]
+        for name in model.schema["temporal"]:
+            tc = model.temporals[name]
+            t = integer_times(arrays[name], name)
+            if np.any(t % tc.tau != 0):
+                bad = t[t % tc.tau != 0][0]
+                raise ValueError(
+                    f"column '{name}': time {bad} is not divisible by "
+                    f"tau={tc.tau}"
+                )
+            times = t.astype(float)
+            total += _interp(name, times, tc.trend)
+            _add_seasonal(total, times, (t // tc.tau) % tc.period,
+                          tc.seasonal_phases)
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:
+        raise ValueError(
+            f"record {bad[0]}: the prediction is not finite (its "
+            "terms sum past the float range)"
+        )
     return total
 
 

@@ -220,7 +220,6 @@ class _NumericalCache:
         else:
             self.plan = KernelSmootherPlan(self.knots, self.bandwidth,
                                            self.counts)
-        self.config = config
 
     def knot_means(self, record_values):
         sums = np.bincount(self.inverse, weights=record_values,

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fxam.cli import main
-from fxam.model import deserialize
+from fxam.cli import _build_train_config, build_parser, main
+from fxam.model import FxamModel, ShapeCurve, deserialize, serialize
+from fxam.training import TrainConfig
 
 
 def read_text(path):
@@ -112,6 +113,50 @@ class TestTrainPredict:
             "--config", str(config_path),
         ])
         assert rc == 3
+
+
+# (flags, the TrainConfig field they set, its value, and another value a
+# config file gives the field)
+TRAINING_FLAGS = [
+    (["--backend", "penalized"], "backend", "penalized", "fast-kernel"),
+    (["--smoothness", "2.5"], "smoothness", 2.5, 1.5),
+    (["--categorical-ridge", "0.5"], "categorical_ridge", 0.5, 3.0),
+    (["--trend-smoothness", "4"], "trend_smoothness", 4.0, 1.5),
+    (["--seasonal-smoothness", "6"], "seasonal_smoothness", 6.0, 1.5),
+    (["--bandwidth-factor", "0.25"], "bandwidth_factor", 0.25, 0.75),
+    (["--outer-tol", "1e-3"], "outer_tol", 1e-3, 1e-4),
+    (["--max-cycles", "7"], "max_cycles", 7, 9),
+    (["--sampling"], "sampling", True, False),
+    (["--no-sampling"], "sampling", False, True),
+    (["--dfi"], "dynamic_ordering", True, False),
+    (["--no-dfi"], "dynamic_ordering", False, True),
+    (["--sampling-threshold", "500"], "sampling_threshold", 500, 900),
+    (["--pilot-size", "300"], "pilot_size", 300, 400),
+    (["--gamma", "0.5"], "sampling_gamma", 0.5, 2.0),
+    (["--seed", "11"], "seed", 11, 12),
+]
+
+
+class TestTrainingFlags:
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "flags, name, value, other", TRAINING_FLAGS,
+        ids=[" ".join(case[0]) for case in TRAINING_FLAGS],
+    )
+    def test_flag_reaches_train_config(self, tmp_path, command, flags,
+                                       name, value, other):
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps({name: other}))
+        io = ["--data", "d.csv", "--schema", "s.json"]
+        if command == "train":
+            io += ["--out", "m.json"]
+        args = build_parser().parse_args(
+            [command, *io, "--config", str(config_path), *flags]
+        )
+        config = _build_train_config(args)
+        # the flag wins over the file; every other field keeps its default
+        assert getattr(config, name) == value
+        assert config == TrainConfig(**{name: value})
 
 
 class TestEvaluate:
@@ -358,6 +403,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "temporal feature 'day'" in err
         assert "trend_smoothness=3.0" in err
+
+    def test_prediction_past_the_float_range_is_data_error(self, tmp_path,
+                                                           capsys):
+        model = tmp_path / "m.json"
+        model.write_bytes(serialize(FxamModel(
+            intercept=-1.7e308,
+            shapes={"x": ShapeCurve(np.array([0.0]), np.array([-1e307]))},
+            betas={}, temporals={},
+            schema={"numerical": ["x"], "categorical": [], "temporal": []},
+        )))
+        data = tmp_path / "data.csv"
+        data.write_text("x\n1.0\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": "x", "kind": "numerical"},
+            {"name": "y", "kind": "response"},
+        ]}))
+        out = tmp_path / "pred.csv"
+        rc = main([
+            "predict", "--model", str(model), "--data", str(data),
+            "--schema", str(schema), "--out", str(out),
+        ])
+        assert rc == 3
+        assert "record 0: the prediction is not finite" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_schema_is_data_error(self, pipeline, tmp_path):
         bad = tmp_path / "schema.json"

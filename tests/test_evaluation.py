@@ -169,6 +169,14 @@ IGNORE_SCHEMA = SchemaFile(columns=(
     ColumnSpec(name="i", kind="ignore"),
     ColumnSpec(name="y", kind="response"),
 ))
+# the file's header holds the columns in another order, with a text
+# column between them
+REORDERED_LABEL_SCHEMA = SchemaFile(columns=(
+    ColumnSpec(name="c", kind="categorical"),
+    ColumnSpec(name="x", kind="numerical"),
+    ColumnSpec(name="i", kind="ignore"),
+    ColumnSpec(name="y", kind="response"),
+))
 
 # (id, file text, schema, require_response, error text or None, the
 # reader that takes the file: "json" (orjson), "loadtxt" (np.loadtxt) or
@@ -254,6 +262,18 @@ INGEST_CASES = [
      "row 3: column 'x': could not parse", None),
     ("text-in-ignored-column", "x,i,y\n1,abc,2\n3,4,5\n", IGNORE_SCHEMA,
      True, None, "loadtxt"),
+    ("label-file-reordered", "y,i,x,c\n2,abc,1,a\n3,def,2.5,b\n",
+     REORDERED_LABEL_SCHEMA, True, None, "loadtxt"),
+    # a label one short of the parsed width is whole; one that fills it
+    # may have been cut
+    ("label-31-chars", "c,x,y\n" + "a" * 31 + ",1,2\nb,2,3\n",
+     LABEL_SCHEMA, True, None, "loadtxt"),
+    ("label-32-chars", "c,x,y\n" + "a" * 32 + ",1,2\nb,2,3\n",
+     LABEL_SCHEMA, True, None, None),
+    ("text-in-label-file-number", "c,x,y\na,abc,2\n", LABEL_SCHEMA, True,
+     "row 2: column 'x': could not parse 'abc'", None),
+    ("label-file-float-spellings", "c,x,y\na,-0,+1\nb,.5,-0\n",
+     LABEL_SCHEMA, True, None, "loadtxt"),
 ]
 
 
@@ -337,6 +357,32 @@ class TestIngestPaths:
         dataset = ingest_csv(path, LABEL_SCHEMA)
         assert dataset.categorical["c"].dtype == np.dtype("<U1")
         np.testing.assert_array_equal(dataset.numerical["x"], [1.5, 2.5])
+
+    @pytest.mark.parametrize("chunk_rows, calls",
+                             [(1, 3), (3, 1), (2048, 1)])
+    def test_label_file_is_one_loadtxt_call_per_chunk(self, tmp_path,
+                                                      monkeypatch,
+                                                      chunk_rows, calls):
+        loadtxt = np.loadtxt
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(kwargs["usecols"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(fxam.evaluation, "_FAST_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(fxam.evaluation.np, "loadtxt", counting)
+        path = tmp_path / "data.csv"
+        write_lines(path, ["y,c,x", "2.0,a,1.5", "3.0,bb,2.5", "4.0,c,-1"])
+        dataset = fxam.evaluation._ingest_fast(path, LABEL_SCHEMA, True)
+        # one call reads every column, labels and numbers alike
+        assert made == [[1, 2, 0]] * calls
+        np.testing.assert_array_equal(dataset.categorical["c"],
+                                      np.array(["a", "bb", "c"]))
+        assert dataset.categorical["c"].dtype == np.dtype("<U2")
+        np.testing.assert_array_equal(dataset.numerical["x"],
+                                      [1.5, 2.5, -1.0])
+        np.testing.assert_array_equal(dataset.response, [2.0, 3.0, 4.0])
 
     def test_number_file_skips_loadtxt_and_row_parser(self, tmp_path,
                                                       monkeypatch):
@@ -426,6 +472,70 @@ class TestIngestProperty:
             )
             with mock.patch.object(fxam.evaluation, "_JSON_CHUNK_BYTES",
                                    chunk_bytes):
+                taken = fxam.evaluation._ingest_fast(path, schema, True)
+        if taken is not None:
+            assert expected is not None
+            assert_same_dataset(taken, expected)
+
+
+# Label spellings for the label-file property: quotes, commas, blanks,
+# '#' and digits, written bare or quoted, and labels near the width
+# np.loadtxt parses them at.
+label_text = st.one_of(
+    st.text(st.sampled_from('",# \t0123456789a'), max_size=6),
+    st.text(st.sampled_from("a#0"), min_size=30, max_size=33),
+)
+label_fields = st.one_of(
+    label_text,
+    label_text.map(lambda text: '"' + text.replace('"', '""') + '"'),
+)
+
+
+@st.composite
+def label_files(draw):
+    """Label-file CSV text, the schema it is read with (its columns in
+    another order than the header's), and a chunk row count."""
+    width = draw(st.integers(2, 5))
+    names = [f"c{i}" for i in range(width)]
+    kinds = ["response", "categorical"] + [
+        draw(st.sampled_from(["numerical", "categorical", "ignore"]))
+        for _ in names[2:]
+    ]
+    order = draw(st.permutations(range(width)))
+    schema = SchemaFile(columns=tuple(
+        ColumnSpec(name=names[i], kind=kinds[i]) for i in order
+    ))
+
+    def row():
+        return ",".join(
+            draw(label_fields if kind in ("categorical", "ignore")
+                 else number_fields)
+            for kind in kinds
+        )
+
+    rows = [row() for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ",".join(names) + newline + newline.join(rows)
+    if draw(st.booleans()):
+        text += newline
+    return text, schema, draw(st.sampled_from([1, 2, 2048]))
+
+
+class TestLabelFileProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(label_files())
+    def test_fast_path_declines_or_matches_row_parser(self, case):
+        text, schema, chunk_rows = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "data.csv")
+            write_text(path, text)
+            expected, _ = outcome(
+                lambda: fxam.evaluation._ingest_rows(path, schema, True)
+            )
+            with mock.patch.object(fxam.evaluation, "_FAST_CHUNK_ROWS",
+                                   chunk_rows):
                 taken = fxam.evaluation._ingest_fast(path, schema, True)
         if taken is not None:
             assert expected is not None

@@ -204,6 +204,20 @@ class TestPredict:
                            match="column 't': record 1: 'abc' is not a"):
             predict_batch(temporal_model(), {"t": ["2", "abc"]})
 
+    def test_sum_past_the_float_range_names_the_record(self):
+        # every term is finite; their sum is not, from record 1 on
+        model = FxamModel(
+            intercept=-1.7e308,
+            shapes={"x": ShapeCurve(np.array([0.0, 1.0]),
+                                    np.array([0.0, -1e307]))},
+            betas={}, temporals={},
+            schema={"numerical": ["x"], "categorical": [], "temporal": []},
+        )
+        assert predict_batch(model, {"x": [0.0]}).tolist() == [-1.7e308]
+        with pytest.raises(ValueError,
+                           match="record 1: the prediction is not finite"):
+            predict_batch(model, {"x": [0.0, 1.0, 1.0]})
+
     def test_object_categorical_column(self):
         # None is keyed as the unseen label "None" and contributes zero
         got = predict_batch(small_model(), {
