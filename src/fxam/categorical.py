@@ -58,15 +58,15 @@ class NgaResult:
     residual: float
 
 
-def _pair_counts(rows, chunk):
+def _pair_counts(rows):
     """Co-occurrence counts of each column pair f < g of q-hot rows.
 
     Yields ``(top, left, counts)`` per pair, where ``counts[i, j]`` is the
     number of records with label ``top + i`` in column f and ``left + j``
     in column g.  ``counts`` is a dense contingency table over the two
-    columns' code ranges, or CSR when the table would have more cells
-    than ``min(chunk, n)`` and so be mostly empty; the CSR is summed
-    chunk by chunk of records.
+    columns' code ranges, or COO when the table would have more cells
+    than there are records and so be mostly empty; the COO holds the
+    distinct pairs that occur, counted by one ``np.unique``.
     """
     n, q = rows.shape
     lo = rows.min(axis=0)
@@ -75,23 +75,20 @@ def _pair_counts(rows, chunk):
     for f in range(q):
         for g in range(f + 1, q):
             shape = (int(span[f]), int(span[g]))
-            if shape[0] * shape[1] <= min(chunk, n):
+            keys = local[f] * shape[1] + local[g]
+            if shape[0] * shape[1] <= n:
                 counts = np.bincount(
-                    local[f] * shape[1] + local[g],
-                    minlength=shape[0] * shape[1],
+                    keys, minlength=shape[0] * shape[1],
                 ).reshape(shape)
             else:
-                counts = sp.csr_matrix(shape)
-                for start in range(0, n, chunk):
-                    left = local[f, start:start + chunk]
-                    right = local[g, start:start + chunk]
-                    counts = counts + sp.coo_matrix(
-                        (np.ones(left.size), (left, right)), shape=shape
-                    ).tocsr()
+                keys, hits = np.unique(keys, return_counts=True)
+                counts = sp.coo_matrix(
+                    (hits, (keys // shape[1], keys % shape[1])), shape=shape
+                )
             yield int(lo[f]), int(lo[g]), counts
 
 
-def gram_assemble(encoding, y_target, ridge, chunk=65536):
+def gram_assemble(encoding, y_target, ridge):
     """Build the ridge system from q-hot rows.
 
     G[j, k] counts records having both value j and value k active (so the
@@ -122,9 +119,8 @@ def gram_assemble(encoding, y_target, ridge, chunk=65536):
     diagonal = np.bincount(rows.ravel(), minlength=c)
     if c <= CLOSED_FORM_LIMIT:
         gram = np.diag(diagonal.astype(float))
-        for top, left, counts in _pair_counts(rows, chunk):
+        for top, left, counts in _pair_counts(rows):
             if sp.issparse(counts):
-                counts = counts.tocoo()
                 upper = (top + counts.row, left + counts.col)
                 np.add.at(gram, upper, counts.data)
                 np.add.at(gram, upper[::-1], counts.data)
@@ -137,7 +133,7 @@ def gram_assemble(encoding, y_target, ridge, chunk=65536):
     else:
         labels = np.arange(c)
         row, col, data = [labels], [labels], [diagonal]
-        for top, left, counts in _pair_counts(rows, chunk):
+        for top, left, counts in _pair_counts(rows):
             counts = sp.coo_matrix(counts)
             row += [top + counts.row, left + counts.col]
             col += [left + counts.col, top + counts.row]

@@ -70,6 +70,11 @@ def _build_train_config(args, schema=None):
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"{args.config}: a training config is an object, not "
+                f"{type(doc).__name__}"
+            )
         known = {f.name for f in fields(TrainConfig)}
         unknown = set(doc) - known
         if unknown:
@@ -82,13 +87,22 @@ def _build_train_config(args, schema=None):
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
-    rules = dict(values.get("temporal_rules", {}))
-    rules = {
-        name: rule if isinstance(rule, TemporalRule)
-        else TemporalRule(period=int(rule["period"]),
-                          tau=int(rule.get("tau", 1)))
-        for name, rule in rules.items()
-    }
+    given = values.get("temporal_rules", {})
+    if not isinstance(given, dict):
+        raise ValueError("temporal_rules must be an object of feature "
+                         f"name -> rule, not {type(given).__name__}")
+    rules = {}
+    for name, rule in given.items():
+        try:
+            if (not isinstance(rule, dict)
+                    or not {"period"} <= set(rule) <= {"period", "tau"}):
+                raise ValueError('expected an object with "period" and an '
+                                 f'optional "tau", got {rule!r}')
+            rules[name] = TemporalRule(**rule)
+        except ValueError as exc:
+            raise ValueError(
+                f"temporal_rules: feature '{name}': {exc}"
+            ) from None
     if schema is not None:
         rules.update(schema.temporal_rules())
     values["temporal_rules"] = rules

@@ -126,25 +126,39 @@ def float_column(column, name):
         raise ValueError(f"column '{name}': {exc}") from exc
 
 
+def time_fault(values):
+    """The first float time that int64 cannot hold exactly, as (index,
+    reason); None when every value is a whole number in its range."""
+    for wrong, reason in (
+        (~np.isfinite(values), "non-finite value"),
+        (values != np.round(values), "temporal values must be integers"),
+        # float64 values in [-2**63, 2**63) cast to int64 exactly
+        ((values < -2.0 ** 63) | (values >= 2.0 ** 63),
+         "time outside the int64 range"),
+    ):
+        if np.any(wrong):
+            return int(np.flatnonzero(wrong)[0]), reason
+    return None
+
+
 def integer_times(column, name):
-    """A temporal column as int64, refusing non-finite or fractional values.
+    """A temporal column as int64, refusing non-finite or fractional
+    values and values outside the int64 range.
 
     Raises
     ------
     ValueError
-        Naming the column.
+        Naming the column, and the first bad record of a float column.
     """
     arr = np.asarray(column)
     if np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind == "u" and np.any(arr > np.iinfo(np.int64).max):
+            raise ValueError(f"column '{name}': time outside the int64 range")
         return arr.astype(np.int64)
     flt = float_column(arr, name)
-    if not np.all(np.isfinite(flt)):
-        raise ValueError(f"column '{name}': non-finite values")
-    if np.any(flt != np.round(flt)):
-        raise ValueError(
-            f"column '{name}': temporal values must be integers in units "
-            "of tau"
-        )
+    fault = time_fault(flt)
+    if fault is not None:
+        raise ValueError(f"column '{name}': record {fault[0]}: {fault[1]}")
     return flt.astype(np.int64)
 
 
@@ -298,7 +312,7 @@ class CompressedSeries:
         return self.times.size
 
 
-def compress_time_points(times, values):
+def compress_time_points(times, values, name="times"):
     """Collapse co-located records into weighted time points.
 
     The compressed value at a time point is the mean of the records mapped
@@ -307,7 +321,9 @@ def compress_time_points(times, values):
     Raises
     ------
     ValueError
-        On an empty series, or non-integer / non-finite times.
+        On an empty series; naming the column ``name``, on times that
+        :func:`integer_times` refuses or two times that are one float64
+        number (they would be one curve knot).
     """
     times = np.asarray(times)
     values = np.asarray(values, dtype=float)
@@ -315,14 +331,15 @@ def compress_time_points(times, values):
         raise ValueError("empty series")
     if times.shape != values.shape or times.ndim != 1:
         raise ValueError("times and values must be 1-d and equally long")
-    if not np.issubdtype(times.dtype, np.integer):
-        flt = np.asarray(times, dtype=float)
-        if not np.all(np.isfinite(flt)) or np.any(flt != np.round(flt)):
-            raise ValueError("times must be finite integers")
-        times = flt.astype(np.int64)
     unique, back_map, counts = np.unique(
-        times, return_inverse=True, return_counts=True
+        integer_times(times, name), return_inverse=True, return_counts=True
     )
+    same = np.flatnonzero(np.diff(unique.astype(float)) == 0)
+    if same.size:
+        raise ValueError(
+            f"column '{name}': times {unique[same[0]]} and "
+            f"{unique[same[0] + 1]} are the same float64 number"
+        )
     sums = np.bincount(back_map, weights=values, minlength=unique.size)
     return CompressedSeries(
         times=unique.astype(np.int64),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import orjson
 
-from .data import Dataset
+from .data import Dataset, time_fault
 from .model import predict_batch
 from .training import TemporalRule, TrainConfig, tsi_train
 
@@ -33,20 +33,20 @@ class ColumnSpec:
     period: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(
+                f"a column name must be a string, got {self.name!r}"
+            )
         if self.kind not in COLUMN_KINDS:
             raise ValueError(
                 f"column '{self.name}': unknown kind '{self.kind}'"
             )
         if self.kind == "temporal":
-            if self.period is None or self.period <= 1:
-                raise ValueError(
-                    f"column '{self.name}': temporal columns need a "
-                    "seasonal period greater than 1"
-                )
-            if self.tau <= 0:
-                raise ValueError(
-                    f"column '{self.name}': tau must be positive"
-                )
+            # the training rule's checks, named by column
+            try:
+                TemporalRule(period=self.period, tau=self.tau)
+            except ValueError as exc:
+                raise ValueError(f"column '{self.name}': {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -84,22 +84,22 @@ class SchemaFile:
 
 
 def load_schema(path):
-    """Read a schema JSON file ({"columns": [{name, kind, tau, period}]})."""
+    """Read a schema JSON file ({"columns": [{name, kind, tau, period}]});
+    a document of another shape raises ``ValueError``."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    columns = tuple(
-        ColumnSpec(
-            name=entry["name"],
-            kind=entry["kind"],
-            tau=int(entry.get("tau", 1)),
-            period=(
-                int(entry["period"]) if entry.get("period") is not None
-                else None
-            ),
+    entries = doc.get("columns") if isinstance(doc, dict) else None
+    if not (isinstance(entries, list)
+            and all(isinstance(entry, dict) for entry in entries)):
+        raise ValueError(
+            f"{path}: a schema is an object whose \"columns\" is an array "
+            "of objects"
         )
-        for entry in doc["columns"]
-    )
-    return SchemaFile(columns=columns)
+    return SchemaFile(columns=tuple(
+        ColumnSpec(name=entry.get("name"), kind=entry.get("kind"),
+                   tau=entry.get("tau", 1), period=entry.get("period"))
+        for entry in entries
+    ))
 
 
 def save_schema(schema, path):
@@ -327,7 +327,7 @@ def _parse_fast(path, schema, require_response):
         if col.kind != "categorical" and not np.all(np.isfinite(column)):
             return None
         if col.kind == "temporal":
-            if np.any(column != np.round(column)):
+            if time_fault(column) is not None:
                 return None
             column = column.astype(np.int64)
             if np.any(column % col.tau != 0):
@@ -404,11 +404,11 @@ def _ingest_rows(path, schema, require_response):
                 raise short_row(bad, col.name) from None
         elif col.kind == "temporal":
             values = parse_float(col.name, col.kind)
-            if np.any(values != np.round(values)):
-                bad = int(np.flatnonzero(values != np.round(values))[0])
+            fault = time_fault(values)
+            if fault is not None:
                 raise ValueError(
-                    f"{path}: row {bad + 2}: column '{col.name}': temporal "
-                    "values must be integers"
+                    f"{path}: row {fault[0] + 2}: column '{col.name}': "
+                    f"{fault[1]}"
                 )
             ticks = values.astype(np.int64)
             if np.any(ticks % col.tau != 0):

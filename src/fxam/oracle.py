@@ -37,7 +37,7 @@ def _record_smoother(knots, weights, inverse, penalty):
     return knot_space[np.ix_(inverse, inverse)]
 
 
-def normal_equation_residuals(problem, state, config=None,
+def normal_equation_residuals(problem, state,
                               max_records=RESIDUAL_SUPPORT_LIMIT):
     """Inf-norm violation of each block's stationarity equation.
 
@@ -46,7 +46,7 @@ def normal_equation_residuals(problem, state, config=None,
     record-space smoother matrix M_j; all blocks are small exactly when
     training has converged.  Penalized backend and test scale only.
     """
-    config = config or problem.config
+    config = problem.config
     if config.backend != "penalized":
         raise ValueError("normal-equation diagnostics need the penalized "
                          "backend")
@@ -287,8 +287,7 @@ def normal_equation_direct_solve(dataset, config, max_dim=DIRECT_SOLVE_LIMIT):
 
     fitted = design @ theta
     objective = _add_penalties(
-        float(np.sum((y - fitted) ** 2)), problem, config, numerical_curves,
-        beta,
+        float(np.sum((y - fitted) ** 2)), problem, numerical_curves, beta,
         {name: (trend_curves[name], seasonal_curves[name])
          for name in problem.temporal},
     )

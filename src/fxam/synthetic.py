@@ -93,18 +93,6 @@ class GroundTruth:
     interaction_fve: float
     seasonality_fve: float
 
-    def signal_total(self):
-        total = None
-        for vec in self.contributions.values():
-            total = vec.copy() if total is None else total + vec
-        for vec in self.interactions.values():
-            total = vec.copy() if total is None else total + vec
-        if self.seasonal is not None:
-            total = self.seasonal.copy() if total is None else (
-                total + self.seasonal
-            )
-        return total
-
 
 def draw_function_kinds(rng, n_slots, difficulty):
     """Fill exactly ``n_slots`` feature slots with function draws.

@@ -57,22 +57,6 @@ from .smoothers import (
 ANDERSON_DEPTH = 5
 
 
-@dataclass(frozen=True)
-class DecomposeConfig:
-    """Knobs for one temporal feature's decomposition."""
-
-    backend: str = "penalized"        # "penalized" | "fast-kernel"
-    trend_penalty: float = 1.0
-    seasonal_penalty: float = 1.0
-    bandwidth_factor: float = 0.5     # kernel backend bandwidth rule
-    # kernel backend: stop once both components move less than
-    # tol_factor times the sd of the residual target, or after
-    # max_iterations sweeps (flagged non-converged); the penalized
-    # backend solves directly and reads neither
-    tol_factor: float = 1e-6
-    max_iterations: int = 50
-
-
 @dataclass
 class TemporalComponents:
     """Trend and merged seasonal values over the compressed time points.
@@ -196,6 +180,8 @@ def build_smoothers(series, partition, config):
     """Factor the penalized split, or plan the kernel trend and every
     phase smoother, once.
 
+    Reads the fit's ``TrainConfig``: ``backend``, then the two
+    smoothness penalties (penalized) or ``bandwidth_factor`` (kernel).
     Returns a :class:`SplitFactor` (penalized backend) or a
     :class:`TemporalSmoothers` (kernel backend).  A singular penalized
     system raises SuperLU's ``RuntimeError``.
@@ -204,9 +190,8 @@ def build_smoothers(series, partition, config):
     weights = series.weights.astype(float)
     if config.backend == "penalized":
         return SplitFactor(times, weights, partition.phase_sets,
-                           config.trend_penalty, config.seasonal_penalty)
-    if config.backend != "fast-kernel":
-        raise ValueError(f"unknown backend '{config.backend}'")
+                           config.trend_smoothness,
+                           config.seasonal_smoothness)
 
     def plan(idx):
         x = times[idx]
@@ -220,7 +205,7 @@ def build_smoothers(series, partition, config):
     )
 
 
-def decompose(series, partition, residual, config=None, initial=None,
+def decompose(series, partition, residual, config, initial=None,
               smoothers=None):
     """Split a residual target into trend plus seasonal components.
 
@@ -232,7 +217,10 @@ def decompose(series, partition, residual, config=None, initial=None,
         Phase sets over the compressed points.
     residual : ndarray
         Target values aligned with the compressed points.
-    config : DecomposeConfig, optional
+    config : TrainConfig
+        As for :func:`build_smoothers`; the kernel backend also stops once
+        both components move less than ``inner_tol_factor`` times the
+        residual target's sd, or after ``max_inner_iterations`` sweeps.
     initial : TemporalComponents, optional
         Warm start; resuming from the previous components keeps the outer
         training objective non-increasing.
@@ -252,8 +240,6 @@ def decompose(series, partition, residual, config=None, initial=None,
     points never abort the decomposition; smoothing interpolates across
     the gaps.
     """
-    if config is None:
-        config = DecomposeConfig()
     residual = np.asarray(residual, dtype=float)
     n = series.n_points
     if residual.shape != (n,):
@@ -323,7 +309,7 @@ def decompose(series, partition, residual, config=None, initial=None,
         return trend, seasonal
 
     scale = float(np.sqrt(np.average((residual - residual.mean()) ** 2)))
-    tol = config.tol_factor * max(scale, 1e-12)
+    tol = config.inner_tol_factor * max(scale, 1e-12)
 
     # Anderson acceleration (type II) on the seasonal iterate: the next
     # iterate combines the last map outputs with the weights that best
@@ -333,7 +319,7 @@ def decompose(series, partition, residual, config=None, initial=None,
     last_f = last_g = None
     converged = False
     iterations = 0
-    while iterations < config.max_iterations:
+    while iterations < config.max_inner_iterations:
         iterations += 1
         new_trend, new_seasonal = sweep(iterate)
         f = new_seasonal - iterate
@@ -379,7 +365,7 @@ def _local_objective(series, partition, residual, trend, seasonal, config):
     return _add_split_penalty(
         float(np.sum(series.weights.astype(float) * misfit * misfit)),
         series.times.astype(float), partition.phase_sets, trend, seasonal,
-        config.trend_penalty, config.seasonal_penalty,
+        config.trend_smoothness, config.seasonal_smoothness,
     )
 
 

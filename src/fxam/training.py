@@ -12,6 +12,10 @@ objective is non-increasing and the fixed point solves the model's
 normal equations; :mod:`fxam.oracle` checks that against a dense direct
 solve of the same system.
 
+A fit has one :class:`TrainConfig`: every stage, the objective and the
+oracle read ``problem.config``, the config the cached smoothers, factors
+and ridge were built from.
+
 Two Stage 1 accelerations are available: intelligent sampling (shape
 curves initialized from a subsample whose size
 :func:`estimate_sample_size` bounds from the summaries that
@@ -55,7 +59,6 @@ from .smoothers import (
     penalized_factor,
 )
 from .temporal import (
-    DecomposeConfig,
     _add_split_penalty,
     build_smoothers,
     decompose,
@@ -76,12 +79,16 @@ _MIN_COUNTS = {
 
 @dataclass(frozen=True)
 class TemporalRule:
-    """Seasonal period and time step for one temporal feature."""
+    """Seasonal period and time step (integers) for one temporal feature."""
 
     period: int
     tau: int = 1
 
     def __post_init__(self):
+        for label, value in (("seasonal period", self.period),
+                             ("tau", self.tau)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
         if self.period <= 1:
             raise ValueError("seasonal period must exceed 1")
         if self.tau <= 0:
@@ -237,20 +244,12 @@ class _NumericalCache:
 class _TemporalCache:
     def __init__(self, name, times, y, rule, config):
         self.rule = rule
-        self.series = compress_time_points(times, y)
+        self.series = compress_time_points(times, y, name)
         self.partition = partition_phases(self.series, rule.tau, rule.period)
         self.weights = self.series.weights.astype(float)
-        self.decompose_config = DecomposeConfig(
-            backend=config.backend,
-            trend_penalty=config.trend_smoothness,
-            seasonal_penalty=config.seasonal_smoothness,
-            bandwidth_factor=config.bandwidth_factor,
-            tol_factor=config.inner_tol_factor,
-            max_iterations=config.max_inner_iterations,
-        )
         try:
             self.smoothers = build_smoothers(
-                self.series, self.partition, self.decompose_config
+                self.series, self.partition, config
             )
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise ConvergenceError(
@@ -407,7 +406,7 @@ def order_features(powers):
     return np.argsort(-powers, kind="stable")
 
 
-def _stage1_order(problem, state, config):
+def _stage1_order(problem, state):
     """Feature order for the next pass; descending predictive power.
 
     Each feature's slope is its current curve's steepest knot-to-knot
@@ -415,7 +414,7 @@ def _stage1_order(problem, state, config):
     per feature.
     """
     names = list(problem.numerical)
-    if not config.dynamic_ordering or len(names) < 2 or problem.n < 3:
+    if not problem.config.dynamic_ordering or len(names) < 2 or problem.n < 3:
         return names
     residual = state.residual
     centered = residual - residual.mean()
@@ -438,7 +437,7 @@ def _stage1_order(problem, state, config):
     return [names[i] for i in order_features(powers)]
 
 
-def stage1_backfit(problem, state, config=None):
+def stage1_backfit(problem, state):
     """Backfit the numerical features to partial convergence.
 
     Each update smooths the feature's partial residual, recentres the
@@ -446,7 +445,7 @@ def stage1_backfit(problem, state, config=None):
     passes repeat until the largest component change per pass falls
     under ``stage_tol_factor * sd(y)``.
     """
-    config = config or problem.config
+    config = problem.config
     if not problem.numerical:
         return state
     tol = config.stage_tol_factor * max(problem.scale, 1e-12)
@@ -454,7 +453,7 @@ def stage1_backfit(problem, state, config=None):
     passes = 0
     # the predictive-power order is refreshed once per stage entry (that
     # is, once per outer cycle) and reused by every pass within it
-    order = _stage1_order(problem, state, config)
+    order = _stage1_order(problem, state)
     for _ in range(config.max_stage1_passes):
         passes += 1
         max_change = 0.0
@@ -480,7 +479,7 @@ def stage1_backfit(problem, state, config=None):
 
 # --- Stage 2: joint categorical solve ---------------------------------------
 
-def stage2_categorical(problem, state, config=None):
+def stage2_categorical(problem, state):
     """Solve every categorical weight jointly against the current residual.
 
     The intercept rides along as an unpenalized coordinate of the same
@@ -498,7 +497,6 @@ def stage2_categorical(problem, state, config=None):
     (numerically) worse than the previous solution on the block
     objective, the previous solution is kept, so the stage never ascends.
     """
-    config = config or problem.config
     if problem.encoding.cardinality == 0:
         return state
     target = state.residual + state.categorical_fit + state.intercept
@@ -508,7 +506,7 @@ def stage2_categorical(problem, state, config=None):
         solution = sla.cho_solve(problem.gram_joint_factor, system.rhs)
     else:
         solution = nga_ridge_solve(
-            system, tol=config.solver_tol, beta0=warm,
+            system, tol=problem.config.solver_tol, beta0=warm,
             lam_max=problem.gram_joint_lambda_max,
         ).beta
     if ridge_objective(system, solution) > ridge_objective(system, warm):
@@ -527,7 +525,7 @@ def stage2_categorical(problem, state, config=None):
 
 # --- Stage 3: temporal partial learning -------------------------------------
 
-def stage3_temporal(problem, state, config=None):
+def stage3_temporal(problem, state):
     """Partial learning per temporal feature, in declaration order.
 
     The record-space partial residual is compressed to the feature's time
@@ -540,14 +538,12 @@ def stage3_temporal(problem, state, config=None):
     weighted mean is folded into the intercept, which together with the
     decomposition's seasonal conventions makes the fixed point unique.
     """
-    config = config or problem.config
     for name, cache in problem.temporal.items():
         f_trend = state.trend_fits[name]
         f_seasonal = state.seasonal_fits[name]
         target = cache.knot_means(state.residual + f_trend + f_seasonal)
         components = decompose(
-            cache.series, cache.partition, target,
-            cache.decompose_config,
+            cache.series, cache.partition, target, problem.config,
             initial=state.temporal_components.get(name),
             smoothers=cache.smoothers,
         )
@@ -569,7 +565,7 @@ def stage3_temporal(problem, state, config=None):
 
 # --- objective and the full iteration ---------------------------------------
 
-def objective_value(problem, state, config=None):
+def objective_value(problem, state):
     """Penalized training objective at the current state.
 
     Residual sum of squares plus the curvature penalties of every
@@ -579,18 +575,17 @@ def objective_value(problem, state, config=None):
     backend the curvature functional is not what the smoother minimizes,
     so only the residual sum of squares is reported.
     """
-    config = config or problem.config
     value = float(state.residual @ state.residual)
-    if config.backend != "penalized":
+    if problem.config.backend != "penalized":
         return value
     return _add_penalties(
-        value, problem, config, state.numerical_curves, state.beta,
+        value, problem, state.numerical_curves, state.beta,
         {name: (components.trend, components.seasonal)
          for name, components in state.temporal_components.items()},
     )
 
 
-def _add_penalties(value, problem, config, numerical_curves, beta, splits):
+def _add_penalties(value, problem, numerical_curves, beta, splits):
     """``value`` plus every penalty of the model, added term by term.
 
     The terms are each numerical curve's curvature, the categorical
@@ -600,6 +595,7 @@ def _add_penalties(value, problem, config, numerical_curves, beta, splits):
     a feature missing from it adds nothing.  Adding onto ``value`` in this
     fixed order keeps every caller's objective bit-identical.
     """
+    config = problem.config
     for name, cache in problem.numerical.items():
         value += config.smoothness * curvature_penalty(
             cache.knots, numerical_curves[name]
@@ -658,14 +654,15 @@ class _SampleSmoother:
         return curve, curve[self.cells]
 
 
-def _sample_smoothers(problem, config, indices):
+def _sample_smoothers(problem, indices):
     return [
-        _SampleSmoother(cache, cache.x[indices], config.bandwidth_factor)
+        _SampleSmoother(cache, cache.x[indices],
+                        problem.config.bandwidth_factor)
         for cache in problem.numerical.values()
     ]
 
 
-def pilot_estimates(problem, residual, rng, config=None):
+def pilot_estimates(problem, residual, rng):
     """Per-feature shape summaries from one sweep on a pilot subsample.
 
     Draws ``min(pilot_size, n)`` records with ``rng`` (every record, in
@@ -677,14 +674,13 @@ def pilot_estimates(problem, residual, rng, config=None):
     few records would overstate the slope).  Returns the estimates, the
     pilot record indices and the per-feature pilot smoothers.
     """
-    config = config or problem.config
     n = problem.n
-    pilot_n = min(config.pilot_size, n)
+    pilot_n = min(problem.config.pilot_size, n)
     indices = (
         rng.choice(n, pilot_n, replace=False) if n > pilot_n
         else np.arange(n)
     )
-    smoothers = _sample_smoothers(problem, config, indices)
+    smoothers = _sample_smoothers(problem, indices)
     target = residual[indices]
     pilots = []
     for smoother in smoothers:
@@ -718,7 +714,7 @@ def estimate_sample_size(pilots, gamma, floor, limit=None):
     return int(max(floor, math.ceil(worst)))
 
 
-def _sampling_initialization(problem, state, config):
+def _sampling_initialization(problem, state):
     """Initialize every shape curve from one shared subsample.
 
     A pilot-sized sweep estimates each feature's variation summaries,
@@ -728,10 +724,11 @@ def _sampling_initialization(problem, state, config):
     (feature coupling on a uniform subsample is far below the subsample's
     own estimation noise).
     """
+    config = problem.config
     rng = np.random.default_rng(config.seed)
     n = problem.n
     pilots, indices, smoothers = pilot_estimates(
-        problem, state.residual, rng, config
+        problem, state.residual, rng
     )
     pilot_n = indices.size
     sample_size = estimate_sample_size(
@@ -739,7 +736,7 @@ def _sampling_initialization(problem, state, config):
     )
     if sample_size > pilot_n:
         indices = rng.choice(n, size=sample_size, replace=False)
-        smoothers = _sample_smoothers(problem, config, indices)
+        smoothers = _sample_smoothers(problem, indices)
     target = state.residual[indices]
     fits = np.zeros((len(smoothers), sample_size))
     curves = [None] * len(smoothers)
@@ -769,20 +766,15 @@ def _sampling_initialization(problem, state, config):
     return {"sample_size": int(sample_size), "pilot_size": int(pilot_n)}
 
 
-def tsi_train(dataset, config=None):
-    """Fit the additive model by three-stage iteration.
+def tsi_train(dataset, config):
+    """Fit the additive model by three-stage iteration under ``config``.
 
     Returns the trained model with diagnostics (objective history,
     per-stage objectives, cycle count, stage timings, convergence flag).
     Reaching ``max_cycles`` returns a model flagged as non-converged; a
     non-finite objective raises :class:`ConvergenceError`.
     """
-    config = config or TrainConfig()
     problem = TrainingProblem(dataset, config)
-    return _train(problem, config)
-
-
-def _train(problem, config):
     state = initial_state(problem)
     timings = {"stage1": 0.0, "stage2": 0.0, "stage3": 0.0}
     sampling_info = None
@@ -792,10 +784,10 @@ def _train(problem, config):
         and problem.n > config.sampling_threshold
     ):
         start = time.perf_counter()
-        sampling_info = _sampling_initialization(problem, state, config)
+        sampling_info = _sampling_initialization(problem, state)
         timings["initialization"] = time.perf_counter() - start
 
-    objective = objective_value(problem, state, config)
+    objective = objective_value(problem, state)
     state.objective_history.append(objective)
     stages = (
         ("stage1", stage1_backfit),
@@ -806,9 +798,9 @@ def _train(problem, config):
         state.cycles = cycle
         for stage_name, stage in stages:
             start = time.perf_counter()
-            state = stage(problem, state, config)
+            state = stage(problem, state)
             timings[stage_name] += time.perf_counter() - start
-            stage_objective = objective_value(problem, state, config)
+            stage_objective = objective_value(problem, state)
             if not np.isfinite(stage_objective):
                 raise ConvergenceError(
                     "training diverged: objective is not finite"
@@ -822,10 +814,10 @@ def _train(problem, config):
         if decrease < config.outer_tol * max(abs(previous), 1e-300):
             state.converged = True
             break
-    return _build_model(problem, state, config, timings, sampling_info)
+    return _build_model(problem, state, timings, sampling_info)
 
 
-def _build_model(problem, state, config, timings, sampling_info):
+def _build_model(problem, state, timings, sampling_info):
     shapes = {
         name: ShapeCurve(cache.knots, state.numerical_curves[name])
         for name, cache in problem.numerical.items()
@@ -855,7 +847,7 @@ def _build_model(problem, state, config, timings, sampling_info):
             seasonal_phases=phase_curves,
         )
     diagnostics = {
-        "backend": config.backend,
+        "backend": problem.config.backend,
         "cycles": state.cycles,
         "converged": state.converged,
         "objective_history": [float(v) for v in state.objective_history],

@@ -70,46 +70,45 @@ class TestGramAssemble:
             gram_assemble(enc, np.zeros(3), ridge=1.0)
 
     @staticmethod
-    def _sparse_case(chunk, widths=(40, 40, 40)):
+    def _sparse_case(n=2000, widths=(40, 40, 40)):
         rng = np.random.default_rng(0)
-        n, c = 2000, sum(widths)
+        c = sum(widths)
         offsets = np.cumsum((0,) + widths[:-1])
         rows = np.stack([lo + rng.integers(0, w, n)
                          for lo, w in zip(offsets, widths)], axis=1)
         system = gram_assemble(encoding_from_rows(rows), np.zeros(n),
-                               ridge=0.5, chunk=chunk)
+                               ridge=0.5)
         z = np.zeros((n, c))
         z[np.arange(n)[:, None], rows] = 1.0
         return system, z.T @ z + 0.5 * np.eye(c)
 
     def test_sparse_above_threshold(self):
         # dense up to CLOSED_FORM_LIMIT labels, CSR above it
-        system, expected = self._sparse_case(chunk=65536)
+        system, expected = self._sparse_case()
         assert not sp.issparse(system.gram)
         np.testing.assert_array_equal(system.gram, expected)
-        system, expected = self._sparse_case(chunk=65536,
-                                             widths=(1000, 40, 40))
+        system, expected = self._sparse_case(widths=(1000, 40, 40))
         assert sp.issparse(system.gram)
         np.testing.assert_array_equal(system.gram.toarray(), expected)
 
-    @pytest.mark.parametrize("chunk", [1700, 100])
-    def test_sparse_across_chunks(self, chunk):
-        # 40 x 40 tables fit in 1700-record chunks; pairs with the
-        # 1000-label column, and every pair at 100, go through COO -> CSR
-        system, expected = self._sparse_case(chunk=chunk)
+    @pytest.mark.parametrize("n", [2000, 300])
+    def test_sparse_tables(self, n):
+        # 40 x 40 tables are counted densely from 2,000 records; pairs
+        # with the 1000-label column, and every pair from 300 records,
+        # have more cells than records and are counted by np.unique
+        system, expected = self._sparse_case(n=n)
         assert not sp.issparse(system.gram)
         np.testing.assert_array_equal(system.gram, expected)
-        system, expected = self._sparse_case(chunk=chunk,
-                                             widths=(1000, 40, 40))
+        system, expected = self._sparse_case(n=n, widths=(1000, 40, 40))
         assert sp.issparse(system.gram)
         np.testing.assert_array_equal(system.gram.toarray(), expected)
 
-    def test_dense_with_few_records_per_chunk(self):
-        # every 3 x 2 pair table exceeds min(chunk, n) = 1: the per-chunk
-        # COO path, dense out
+    def test_dense_with_few_records(self):
+        # every 3 x 2 pair table has more cells than the 5 records: the
+        # np.unique counts, dense out
         rows = np.array([[0, 3], [1, 3], [2, 4], [0, 4], [2, 3]])
         system = gram_assemble(encoding_from_rows(rows), np.zeros(5),
-                               ridge=1.0, chunk=1)
+                               ridge=1.0)
         z = np.zeros((5, 5))
         z[np.arange(5)[:, None], rows] = 1.0
         assert not sp.issparse(system.gram)
@@ -147,15 +146,17 @@ def qhot_rows(draw):
 
 class TestGramProperty:
     @settings(max_examples=150, deadline=None)
-    @given(rows=qhot_rows(), chunk=st.sampled_from([1, 5, 65536]),
-           ridge=st.floats(0.01, 10.0))
-    @example(rows=np.array([[2, 2], [0, 2], [1, 1]]), chunk=65536,
+    @given(rows=qhot_rows(), ridge=st.floats(0.01, 10.0))
+    # a 3 x 2 table from 3 records (np.unique counts) and a 2 x 2 table
+    # from 5 (a dense table), each with a label held in both columns
+    @example(rows=np.array([[2, 2], [0, 2], [1, 1]]), ridge=0.3)
+    @example(rows=np.array([[0, 1], [1, 0], [0, 0], [1, 1], [0, 1]]),
              ridge=0.3)
-    def test_equals_dense_design(self, rows, chunk, ridge):
+    def test_equals_dense_design(self, rows, ridge):
         n, q = rows.shape
         encoding = encoding_from_rows(rows)
         y = np.linspace(-1.0, 2.0, n)
-        system = gram_assemble(encoding, y, ridge, chunk=chunk)
+        system = gram_assemble(encoding, y, ridge)
         # the q-hot design counts a label held twice in a record twice
         z = np.zeros((n, encoding.cardinality))
         np.add.at(z, (np.repeat(np.arange(n), q), rows.ravel()), 1.0)

@@ -305,6 +305,55 @@ class TestExitCodes:
         assert rc == 3
         assert "column 'a=b'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schema, message", [
+        ({"columns": [5]}, "an array of objects"),
+        ({"columns": {"a": 1}}, '"columns" is an array'),
+        ([1, 2], '"columns" is an array'),
+        ({"columns": [{"name": ["t"], "kind": "numerical"},
+                      {"name": "y", "kind": "response"}]},
+         "a column name must be a string"),
+        ({"columns": [{"name": "t", "kind": "temporal", "period": 2,
+                       "tau": 2.7},
+                      {"name": "y", "kind": "response"}]},
+         "column 't': tau must be an integer, got 2.7"),
+    ])
+    def test_malformed_schema_is_data_error(self, tmp_path, capsys, schema,
+                                            message):
+        data = tmp_path / "d.csv"
+        data.write_text("t,y\n0,1\n1,2\n2,3\n3,1\n")
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema))
+        rc = main([
+            "train", "--data", str(data), "--schema", str(path),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"temporal_rules": {"t": 5}},
+         "temporal_rules: feature 't': expected an object"),
+        ({"temporal_rules": {"t": {"period": 2.0}}},
+         "temporal_rules: feature 't': seasonal period must be an integer"),
+        ({"temporal_rules": {"t": {"period": 3, "tau": 1.5}}},
+         "temporal_rules: feature 't': tau must be an integer"),
+        ({"temporal_rules": {"t": {"period": 3, "step": 1}}},
+         "temporal_rules: feature 't': expected an object"),
+        ({"temporal_rules": [1]}, "temporal_rules must be an object"),
+        ([1, 2], "a training config is an object, not list"),
+    ])
+    def test_malformed_config_is_data_error(self, pipeline, tmp_path,
+                                            capsys, config, message):
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps(config))
+        rc = main([
+            "train", "--data", pipeline["data"], "--schema",
+            pipeline["schema"], "--out", str(tmp_path / "m.json"),
+            "--config", str(config_path),
+        ])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
     def test_tiny_pilot_is_data_error(self, pipeline, tmp_path, capsys):
         rc = main([
             "train", "--data", pipeline["data"], "--schema",

@@ -40,6 +40,24 @@ class TestDatasetValidation:
             Dataset(response=np.zeros(2),
                     temporal={"t": np.array([0.5, 1.0])})
 
+    @pytest.mark.parametrize("times", [
+        [2.0, 2.0 ** 63],
+        [2.0, 1e300],
+        [2, 2 ** 63],  # numpy makes this a uint64 column
+        np.array([2, 2 ** 64 - 1], dtype=np.uint64),
+    ])
+    def test_temporal_beyond_int64_rejected(self, times):
+        # a cast would make these -2**63 silently
+        with pytest.raises(ValueError, match=(
+            r"column 't': (record 1: )?time outside the int64 range"
+        )):
+            Dataset(response=np.zeros(2), temporal={"t": times})
+
+    def test_temporal_int64_extremes_accepted(self):
+        ds = Dataset(response=np.zeros(2),
+                     temporal={"t": [-2.0 ** 63, 2.0 ** 62]})
+        assert ds.temporal["t"].tolist() == [-2 ** 63, 2 ** 62]
+
     def test_caller_dicts_left_unchanged(self):
         numerical = {"x": [1.0, 2.0, 3.0]}
         categorical = {"c": ["a", "b", "a"]}
@@ -220,6 +238,18 @@ class TestCompressTimePoints:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError, match="empty series"):
             compress_time_points([], [])
+
+    def test_times_refused_like_a_dataset_column(self):
+        with pytest.raises(ValueError, match="column 'day': record 1"):
+            compress_time_points([1.0, 1e300], [0.0, 0.0], "day")
+
+    def test_times_that_share_a_float64_knot_rejected(self):
+        times = [2 ** 53, 2 ** 53 + 1, 2 ** 53 + 2]
+        with pytest.raises(ValueError, match=(
+            r"column 'day': times 9007199254740992 and 9007199254740993 "
+            "are the same float64 number"
+        )):
+            compress_time_points(times, np.zeros(3), "day")
 
     def test_back_map_and_weighted_sum(self):
         rng = np.random.default_rng(2)

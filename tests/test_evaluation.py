@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 from unittest import mock
@@ -61,6 +62,44 @@ class TestSchema:
         loaded = load_schema(path)
         assert loaded == schema
         assert loaded.temporal_rules() == {"t": TemporalRule(period=7, tau=2)}
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], '"columns" is an array'),
+        ({"columns": {"a": 1}}, '"columns" is an array'),
+        ({"columns": [5]}, "an array of objects"),
+        ({"columns": [{"name": ["a"], "kind": "numerical"}]},
+         r"a column name must be a string, got \['a'\]"),
+        ({"columns": [{"kind": "numerical"}]},
+         "a column name must be a string, got None"),
+        ({"columns": [{"name": "t", "kind": "temporal", "period": 7,
+                       "tau": 2.7}]},
+         "column 't': tau must be an integer, got 2.7"),
+        ({"columns": [{"name": "t", "kind": "temporal", "period": 7.0}]},
+         "column 't': seasonal period must be an integer, got 7.0"),
+        ({"columns": [{"name": "t", "kind": "temporal", "period": "7"}]},
+         "column 't': seasonal period must be an integer, got '7'"),
+        ({"columns": [{"name": "t", "kind": "temporal", "period": True}]},
+         "column 't': seasonal period must be an integer, got True"),
+        ({"columns": [{"name": "t", "kind": "temporal", "period": 1}]},
+         "column 't': seasonal period must exceed 1"),
+    ])
+    def test_malformed_file_names_the_fault(self, tmp_path, doc, message):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_schema(path)
+
+    @pytest.mark.parametrize("tau, period", [(1, 2.0), (1.0, 2), (True, 2),
+                                             (1, np.float64(3))])
+    def test_rule_takes_integers_only(self, tau, period):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TemporalRule(period=period, tau=tau)
+        with pytest.raises(ValueError, match="column 't': .*an integer"):
+            ColumnSpec(name="t", kind="temporal", tau=tau, period=period)
+
+    def test_rule_takes_numpy_integers(self):
+        rule = TemporalRule(period=np.int64(7), tau=np.int32(2))
+        assert (rule.period, rule.tau) == (7, 2)
 
 
 class TestIngestCsv:
@@ -227,6 +266,12 @@ INGEST_CASES = [
      "row 3: column 't': temporal values must be integers", None),
     ("temporal-not-divisible", "t,y\n2,1\n3,1\n", TEMPORAL_SCHEMA, True,
      "row 3: column 't': time 3 is not divisible by tau=2", None),
+    # a cast to int64 would read both as -2**63
+    ("temporal-beyond-int64", "t,y\n2,1\n1e300,2\n", TEMPORAL_SCHEMA,
+     True, "row 3: column 't': time outside the int64 range", None),
+    ("temporal-at-2-to-63", "t,y\n2,1\n9223372036854775808,2\n",
+     TEMPORAL_SCHEMA, True,
+     "row 3: column 't': time outside the int64 range", None),
     ("header-only", "x,y\n", NUMERIC_SCHEMA, True, "no data rows", None),
     ("empty-file", "", NUMERIC_SCHEMA, True, "empty file", None),
     ("no-response-column", "x\n1\n2\n", NUMERIC_SCHEMA, False, None,

@@ -16,8 +16,12 @@ from fxam.smoothers import (
     second_difference_matrix,
 )
 from fxam.model import FxamModel, ShapeCurve, TemporalCurves, predict_batch
-from fxam.temporal import DecomposeConfig, build_smoothers, decompose
+from fxam.temporal import build_smoothers, decompose
 from fxam.training import TemporalRule, TrainConfig, tsi_train
+
+# decompose's config for the exact split; TrainConfig's default backend is
+# the kernel one
+PENALIZED = TrainConfig(backend="penalized")
 
 
 def make_series(times, values, tau=1, period=4):
@@ -29,7 +33,8 @@ def make_series(times, values, tau=1, period=4):
 class TestDecompose:
     def test_constant_residual(self):
         series, partition = make_series(np.arange(40), np.zeros(40))
-        components = decompose(series, partition, np.full(40, 2.5))
+        components = decompose(series, partition, np.full(40, 2.5),
+                               PENALIZED)
         np.testing.assert_allclose(components.trend, 2.5, atol=1e-9)
         np.testing.assert_allclose(components.seasonal, 0.0, atol=1e-9)
 
@@ -42,9 +47,9 @@ class TestDecompose:
         times = np.repeat(np.arange(200), 2)
         signal = np.sin(2 * np.pi * times / d)
         series, partition = make_series(times, signal, period=d)
-        config = DecomposeConfig(
-            trend_penalty=500.0, seasonal_penalty=50.0,
-            tol_factor=1e-10, max_iterations=2000,
+        config = replace(
+            PENALIZED, trend_smoothness=500.0, seasonal_smoothness=50.0,
+            inner_tol_factor=1e-10, max_inner_iterations=2000,
         )
         components = decompose(series, partition, series.values, config)
         truth = np.sin(2 * np.pi * series.times / d)
@@ -59,7 +64,7 @@ class TestDecompose:
         t = np.arange(60)
         ramp = 0.5 * t
         series, partition = make_series(t, ramp)
-        components = decompose(series, partition, series.values)
+        components = decompose(series, partition, series.values, PENALIZED)
         span = ramp.max() - ramp.min()
         assert np.max(np.abs(components.seasonal)) <= 1e-3 * span
         np.testing.assert_allclose(components.trend, ramp, atol=1e-6)
@@ -69,7 +74,7 @@ class TestDecompose:
         times = rng.integers(0, 30, 300)
         values = rng.normal(0, 1, 300) + 0.2 * times
         series, partition = make_series(times, values, period=5)
-        components = decompose(series, partition, series.values)
+        components = decompose(series, partition, series.values, PENALIZED)
         w = series.weights.astype(float)
         assert abs(np.average(components.seasonal, weights=w)) < 1e-10
         centered = series.times - np.average(series.times, weights=w)
@@ -81,8 +86,9 @@ class TestDecompose:
         times = rng.integers(0, 24, 200)
         values = rng.normal(0, 1, 200) + np.sin(2 * np.pi * times / 4)
         series, partition = make_series(times, values)
-        config = DecomposeConfig(
-            trend_penalty=20.0, seasonal_penalty=20.0, max_iterations=40,
+        config = replace(
+            PENALIZED, trend_smoothness=20.0, seasonal_smoothness=20.0,
+            max_inner_iterations=40,
         )
         components = decompose(series, partition, series.values, config)
         history = np.array(components.objective_history)
@@ -94,7 +100,7 @@ class TestDecompose:
         # sub-component stays zero
         times = np.array([0, 1, 3, 4, 5, 7, 8, 9, 11])
         series, partition = make_series(times, np.sin(times.astype(float)))
-        components = decompose(series, partition, series.values)
+        components = decompose(series, partition, series.values, PENALIZED)
         empty = [
             phi for phi, idx in enumerate(partition.phase_sets)
             if idx.size == 0
@@ -110,16 +116,16 @@ class TestDecompose:
             ),
         )
         with pytest.raises(ValueError, match="no populated"):
-            decompose(series, hollow, series.values)
+            decompose(series, hollow, series.values, PENALIZED)
 
     def test_warm_start_reaches_same_components(self):
         rng = np.random.default_rng(11)
         times = rng.integers(0, 16, 150)
         values = rng.normal(0, 1, 150)
         series, partition = make_series(times, values)
-        config = DecomposeConfig(
-            trend_penalty=300.0, seasonal_penalty=300.0,
-            tol_factor=1e-12, max_iterations=5000,
+        config = replace(
+            PENALIZED, trend_smoothness=300.0, seasonal_smoothness=300.0,
+            inner_tol_factor=1e-12, max_inner_iterations=5000,
         )
         cold = decompose(series, partition, series.values, config)
         warm = decompose(series, partition, series.values, config,
@@ -132,7 +138,7 @@ class TestDecompose:
         times = rng.integers(0, 40, 400)
         values = np.sin(2 * np.pi * times / 4) + rng.normal(0, 0.1, 400)
         series, partition = make_series(times, values)
-        config = DecomposeConfig(backend="fast-kernel")
+        config = TrainConfig(backend="fast-kernel")
         components = decompose(series, partition, series.values, config)
         truth = np.sin(2 * np.pi * series.times / 4)
         assert np.corrcoef(components.seasonal, truth)[0, 1] > 0.9
@@ -154,8 +160,8 @@ class TestPrebuiltSmoothers:
     def test_match_one_shot_smoothers(self, backend):
         times, values = _seasonal_series(19, 80, 6)
         series, partition = make_series(times, values, period=6)
-        config = DecomposeConfig(backend=backend, trend_penalty=30.0,
-                                 seasonal_penalty=10.0)
+        config = TrainConfig(backend=backend, trend_smoothness=30.0,
+                             seasonal_smoothness=10.0)
         smoothers = build_smoothers(series, partition, config)
         knots = series.times.astype(float)
         weights = series.weights.astype(float)
@@ -198,8 +204,9 @@ class TestPrebuiltSmoothers:
     def test_decompose_bit_identical(self, backend):
         times, values = _seasonal_series(23, 60, 5)
         series, partition = make_series(times, values, period=5)
-        config = DecomposeConfig(backend=backend, trend_penalty=50.0,
-                                 seasonal_penalty=20.0, max_iterations=15)
+        config = TrainConfig(backend=backend, trend_smoothness=50.0,
+                             seasonal_smoothness=20.0,
+                             max_inner_iterations=15)
         smoothers = build_smoothers(series, partition, config)
         own = decompose(series, partition, series.values, config)
         prebuilt = decompose(series, partition, series.values, config,
@@ -297,7 +304,7 @@ def hourly():
     return make_series(times, values, period=DAY)
 
 
-KERNEL = DecomposeConfig(backend="fast-kernel")
+KERNEL = TrainConfig(backend="fast-kernel")
 
 
 class TestHourlySplit:
@@ -313,7 +320,8 @@ class TestHourlySplit:
         assert fast.iterations <= 20
         # plain projected sweeps, run to a far tighter tolerance
         monkeypatch.setattr(fxam.temporal, "ANDERSON_DEPTH", 0)
-        tight = replace(KERNEL, tol_factor=1e-11, max_iterations=5000)
+        tight = replace(KERNEL, inner_tol_factor=1e-11,
+                        max_inner_iterations=5000)
         reference = decompose(series, partition, series.values, tight,
                               smoothers=smoothers)
         assert reference.converged
@@ -362,12 +370,12 @@ def bordered_fixed_point(series, partition, residual, config):
     w = series.weights.astype(float)
     n = times.size
     d2 = second_difference_matrix(times)
-    trend_block = np.diag(w) + config.trend_penalty * d2.T @ d2
+    trend_block = np.diag(w) + config.trend_smoothness * d2.T @ d2
     seasonal_block = np.diag(w)
     for idx in partition.phase_sets:
         d2 = second_difference_matrix(times[idx])
         seasonal_block[np.ix_(idx, idx)] += \
-            config.seasonal_penalty * d2.T @ d2
+            config.seasonal_smoothness * d2.T @ d2
     centered = times - np.average(times, weights=w)
     constraints = np.vstack([w, w * centered])
     system = np.block([
@@ -384,8 +392,9 @@ class TestAcceleratedPenalized:
     def test_matches_direct_fixed_point(self):
         times, values = _seasonal_series(31, 90, 6)
         series, partition = make_series(times, values, period=6)
-        config = DecomposeConfig(trend_penalty=30.0, seasonal_penalty=10.0,
-                                 tol_factor=1e-10, max_iterations=5000)
+        config = replace(PENALIZED, trend_smoothness=30.0,
+                         seasonal_smoothness=10.0, inner_tol_factor=1e-10,
+                         max_inner_iterations=5000)
         components = decompose(series, partition, series.values, config)
         assert components.converged
         trend, seasonal = bordered_fixed_point(series, partition,
@@ -402,7 +411,8 @@ class TestAcceleratedPenalized:
         # warm start is kept, and the call still counts as one sweep
         times, values = _seasonal_series(37, 60, 5)
         series, partition = make_series(times, values, period=5)
-        config = DecomposeConfig(trend_penalty=30.0, seasonal_penalty=10.0)
+        config = replace(PENALIZED, trend_smoothness=30.0,
+                         seasonal_smoothness=10.0)
         warm = decompose(series, partition, series.values, config)
         rising = iter(range(1_000))
         monkeypatch.setattr(fxam.temporal, "_local_objective",
@@ -456,12 +466,12 @@ def assert_split_optimal(series, partition, residual, config, components,
     curvature = sparse_curvature(times)
     misfit = w * (trend + seasonal - residual)
     fit_scale = w * (np.abs(trend) + np.abs(seasonal) + np.abs(residual))
-    trend_eq = misfit + config.trend_penalty * (curvature @ trend)
-    trend_scale = fit_scale + config.trend_penalty * (
+    trend_eq = misfit + config.trend_smoothness * (curvature @ trend)
+    trend_scale = fit_scale + config.trend_smoothness * (
         abs(curvature) @ np.abs(trend)
     )
-    seasonal_eq = misfit + config.seasonal_penalty * seasonal_penalty
-    seasonal_scale = fit_scale + config.seasonal_penalty * seasonal_scale
+    seasonal_eq = misfit + config.seasonal_smoothness * seasonal_penalty
+    seasonal_scale = fit_scale + config.seasonal_smoothness * seasonal_scale
     assert np.all(np.abs(trend_eq) <= rtol * trend_scale)
     assert np.all(np.abs(seasonal_eq) <= rtol * seasonal_scale)
     size = max(np.max(np.abs(residual)), 1.0)
@@ -490,7 +500,8 @@ class TestSplitFactor:
     def test_agrees_with_bordered_oracle(self):
         times, values = _seasonal_series(31, 90, 6)
         series, partition = make_series(times, values, period=6)
-        config = DecomposeConfig(trend_penalty=30.0, seasonal_penalty=10.0)
+        config = replace(PENALIZED, trend_smoothness=30.0,
+                         seasonal_smoothness=10.0)
         components = decompose(series, partition, series.values, config)
         trend, seasonal = bordered_fixed_point(series, partition,
                                                series.values, config)
@@ -505,15 +516,15 @@ class TestSplitFactor:
         # equations are the check, not a componentwise comparison
         series, partition = _daily_series(41)
         assert series.n_points == 730
-        config = DecomposeConfig(trend_penalty=penalty,
-                                 seasonal_penalty=penalty)
+        config = replace(PENALIZED, trend_smoothness=penalty,
+                         seasonal_smoothness=penalty)
         components = decompose(series, partition, series.values, config)
         assert_split_optimal(series, partition, series.values, config,
                              components)
 
     def test_direct_call_reports_one_converged_sweep(self):
         series, partition = _daily_series(43, records=5_000, days=120)
-        config = DecomposeConfig()
+        config = PENALIZED
         components = decompose(series, partition, series.values, config)
         assert components.iterations == 1
         assert components.converged
@@ -534,7 +545,7 @@ class TestSplitFactor:
         series, partition = make_series(times[keep], values[keep],
                                         period=DAY)
         assert 6 <= partition.phase_sets[5].size <= 24
-        config = DecomposeConfig()
+        config = PENALIZED
         start = time.perf_counter()
         factor = build_smoothers(series, partition, config)
         assert time.perf_counter() - start < 2.0
@@ -545,7 +556,8 @@ class TestSplitFactor:
 
     def test_zero_trend_penalty_passes_target_to_trend(self):
         series, partition = _daily_series(47, records=3_000, days=60)
-        config = DecomposeConfig(trend_penalty=0.0, seasonal_penalty=5.0)
+        config = replace(PENALIZED, trend_smoothness=0.0,
+                         seasonal_smoothness=5.0)
         components = decompose(series, partition, series.values, config)
         np.testing.assert_array_equal(components.trend, series.values)
         np.testing.assert_array_equal(components.seasonal, 0.0)
@@ -557,7 +569,8 @@ class TestSplitFactor:
         # least-squares line, which its mean and drift conventions leave
         # to the trend
         series, partition = _daily_series(53, records=3_000, days=60)
-        config = DecomposeConfig(trend_penalty=5.0, seasonal_penalty=0.0)
+        config = replace(PENALIZED, trend_smoothness=5.0,
+                         seasonal_smoothness=0.0)
         components = decompose(series, partition, series.values, config)
         assert_split_optimal(series, partition, series.values, config,
                              components)
@@ -575,7 +588,8 @@ class TestSplitFactor:
         series, partition = make_series(times, values, period=4)
         sizes = [idx.size for idx in partition.phase_sets]
         assert sizes == [8, 2, 1, 0]
-        config = DecomposeConfig(trend_penalty=3.0, seasonal_penalty=2.0)
+        config = replace(PENALIZED, trend_smoothness=3.0,
+                         seasonal_smoothness=2.0)
         components = decompose(series, partition, series.values, config)
         assert_split_optimal(series, partition, series.values, config,
                              components)
@@ -585,7 +599,7 @@ class TestSplitFactor:
         times = np.repeat(np.array(times), 3)
         values = np.arange(times.size, dtype=float)
         series, partition = make_series(times, values, period=4)
-        config = DecomposeConfig()
+        config = PENALIZED
         components = decompose(series, partition, series.values, config)
         np.testing.assert_array_equal(components.trend, series.values)
         np.testing.assert_array_equal(components.seasonal, 0.0)
@@ -638,7 +652,8 @@ class TestEvaluateTemporal:
         self.series, self.partition = make_series(times, values)
         self.components = decompose(
             self.series, self.partition, self.series.values,
-            DecomposeConfig(trend_penalty=200.0, seasonal_penalty=200.0),
+            replace(PENALIZED, trend_smoothness=200.0,
+                    seasonal_smoothness=200.0),
         )
         self.curves = temporal_curves(self.components, self.partition)
 
@@ -661,7 +676,7 @@ class TestEvaluateTemporal:
         series, partition = make_series(
             np.array([0, 1, 9, 10]), np.zeros(4), period=4
         )
-        components = decompose(series, partition, series.values)
+        components = decompose(series, partition, series.values, PENALIZED)
         components = replace(
             components,
             trend=np.array([0.0, 1.0, 9.0, 10.0]),
@@ -674,7 +689,7 @@ class TestEvaluateTemporal:
         series, partition = make_series(
             np.array([0, 2, 4, 6]), np.zeros(4), tau=2, period=2
         )
-        components = decompose(series, partition, series.values)
+        components = decompose(series, partition, series.values, PENALIZED)
         curves = temporal_curves(components, partition)
         with pytest.raises(ValueError, match="divisible"):
             contribution(curves, 3)
@@ -682,7 +697,7 @@ class TestEvaluateTemporal:
     def test_empty_phase_contributes_zero(self):
         times = np.array([0, 1, 3, 4])
         series, partition = make_series(times, np.ones(4))
-        components = decompose(series, partition, series.values)
+        components = decompose(series, partition, series.values, PENALIZED)
         curves = temporal_curves(components, partition)
         assert curves.seasonal_phases[2].is_empty
         assert contribution(curves, 2) == pytest.approx(

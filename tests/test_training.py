@@ -6,6 +6,7 @@ from conftest import make_toy_dataset, tight_toy_config
 import fxam.training
 from fxam.categorical import ConvergenceError, RidgeSystem, closed_form_ridge
 from fxam.data import Dataset
+from fxam.evaluation import _subset
 from fxam.model import predict_batch
 from fxam.oracle import normal_equation_direct_solve, normal_equation_residuals
 from fxam.smoothers import (
@@ -293,14 +294,13 @@ class TestStage1:
 
     def test_dynamic_ordering_changes_path_not_fixed_point(self):
         ds = numerical_only_dataset(2, n=120, p=4)
-        base = tight_toy_config(temporal_rules={})
-        problem = TrainingProblem(ds, base)
-        plain = stage1_backfit(problem, initial_state(problem), base)
-
-        import dataclasses
-
-        dyn_config = dataclasses.replace(base, dynamic_ordering=True)
-        dyn = stage1_backfit(problem, initial_state(problem), dyn_config)
+        paths = {}
+        for dynamic in (False, True):
+            problem = TrainingProblem(ds, tight_toy_config(
+                temporal_rules={}, dynamic_ordering=dynamic,
+            ))
+            paths[dynamic] = stage1_backfit(problem, initial_state(problem))
+        plain, dyn = paths[False], paths[True]
         # both paths share the fixed point; the pass cap leaves a gap
         # well below the default stage tolerance
         for name in ds.numerical:
@@ -376,7 +376,7 @@ class TestStage2:
         ds = Dataset(response=y, categorical={"z": z})
         config = tight_toy_config(temporal_rules={})
         problem = TrainingProblem(ds, config)
-        state = stage2_categorical(problem, initial_state(problem), config)
+        state = stage2_categorical(problem, initial_state(problem))
         y_z = y - state.intercept
         for j, label in enumerate(problem.encoding.labels):
             value = label.split("=")[1]
@@ -388,7 +388,7 @@ class TestStage2:
         ds = make_toy_dataset(4)
         config = tight_toy_config()
         problem = TrainingProblem(ds, config)
-        state = stage2_categorical(problem, initial_state(problem), config)
+        state = stage2_categorical(problem, initial_state(problem))
         # mean of (y - all components except intercept) equals intercept
         target = ds.response - state.categorical_fit
         assert state.intercept == pytest.approx(float(target.mean()),
@@ -459,8 +459,8 @@ class TestStage2Exact:
         ds, _ = categoricals_dataset(2, cardinalities, n=3000)
         config = TrainConfig(backend="fast-kernel", temporal_rules={})
         problem = TrainingProblem(ds, config)
-        state = stage1_backfit(problem, initial_state(problem), config)
-        state = stage2_categorical(problem, state, config)
+        state = stage1_backfit(problem, initial_state(problem))
+        state = stage2_categorical(problem, state)
         target = state.residual + state.categorical_fit + state.intercept
         rhs = problem.joint_ridge_system(target).rhs
         gram = joint_gram(problem)
@@ -662,6 +662,33 @@ class TestTsiTrain:
         config = tight_toy_config(max_cycles=1)
         model = tsi_train(ds, config)
         assert not model.converged
+
+    def test_colliding_float64_times_fail_before_fitting(self):
+        # distinct int64 times above 2**53 can round to one float64 knot;
+        # problem setup refuses them, before any stage runs
+        ds = Dataset(response=np.arange(3.0),
+                     temporal={"t": [2 ** 53, 2 ** 53 + 1, 2 ** 53 + 2]})
+        config = TrainConfig(temporal_rules={"t": TemporalRule(period=2)})
+        with pytest.raises(ValueError, match=(
+            "column 't': times 9007199254740992 and 9007199254740993"
+        )):
+            TrainingProblem(ds, config)
+
+    @pytest.mark.parametrize("backend", ["penalized", "fast-kernel"])
+    def test_record_order_does_not_change_the_fit(self, backend):
+        # every stage reads per-knot, per-label and per-time-point sums,
+        # so shuffling the records moves the fit by rounding only
+        config = tight_toy_config(backend=backend)
+        for seed in range(5):
+            ds = make_toy_dataset(seed)
+            order = np.random.default_rng(seed).permutation(ds.n_records)
+            model = tsi_train(ds, config)
+            shuffled = tsi_train(_subset(ds, order), config)
+            assert set(shuffled.betas) == set(model.betas)
+            cols = columns_of(ds)
+            np.testing.assert_allclose(predict_batch(shuffled, cols),
+                                       predict_batch(model, cols),
+                                       rtol=0, atol=1e-6)
 
 
 class TestObjectiveValue:
