@@ -9,6 +9,7 @@ range; unseen categorical values contribute zero.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,7 +19,9 @@ import orjson
 
 from .data import LABEL_SEPARATOR, factorize, float_column, integer_times
 
-FORMAT_VERSION = "fxam-model/1"
+FORMAT_VERSION = "fxam-model/2"
+# the first format, whose curves are arrays of JSON numbers; still read
+_LIST_VERSION = "fxam-model/1"
 
 
 @dataclass(frozen=True)
@@ -229,12 +232,16 @@ def _add_seasonal(total, times, phases, curves):
 
 
 # --- serialization ---------------------------------------------------------
-# Numbers are JSON numbers.  orjson writes each float, the curve arrays
-# included, as its shortest round-trip decimal, and the stdlib json reader
-# rounds it back correctly, so the round trip is bit-faithful.  The reader
-# stays on json: orjson.loads reads large files about 3x faster but peaks
-# about 15 MB higher on a 12 x 40k-knot document.  Files that quoted each
-# number as a repr() string load through the same float conversion.
+# Each curve's knots and values are one base64 string of little-endian
+# float64 ("<f8") bytes, so a large model is a few dozen long strings for
+# json.loads to read, not one JSON number per knot, and the round trip is
+# the bytes themselves.  Every other number (intercept, betas, tau,
+# period, diagnostics) is a JSON number: orjson writes each float as its
+# shortest round-trip decimal and the stdlib json reader rounds it back
+# correctly.  The reader stays on json: orjson.loads peaks higher on large
+# documents.  fxam-model/1 files hold curves as arrays of JSON numbers,
+# and earlier ones quoted every number as a repr() string; both still
+# load, through the same float conversion as before.
 
 def _plain(obj):
     """``orjson.dumps`` hook: what orjson does not write natively, such
@@ -270,6 +277,38 @@ def _portable(obj, where):
     return obj
 
 
+def _pack(array, where):
+    """Base64 text of ``array``'s little-endian float64 bytes.
+
+    Raises ``ValueError`` on a NaN or infinity, as the rest of the
+    writer does.
+    """
+    array = np.ascontiguousarray(array, dtype="<f8")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"non-finite number in {where}")
+    return base64.b64encode(array).decode("ascii")
+
+
+def _unpack(text, where):
+    """The float64 array whose little-endian bytes ``text`` holds in
+    base64, owned and writable."""
+    if not isinstance(text, str):
+        raise ValueError(
+            f"malformed model payload: {where} is {type(text).__name__}, "
+            "not a base64 string"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"malformed model payload: {where}: {exc}") from exc
+    if len(raw) % 8:
+        raise ValueError(
+            f"malformed model payload: {where} holds {len(raw)} bytes, "
+            "not a whole number of float64s"
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
 def _integer(value, what):
     """``value`` if it is a JSON integer (not a boolean), else
     ``ValueError``."""
@@ -280,13 +319,42 @@ def _integer(value, what):
     return value
 
 
-def _curve_payload(curve):
-    return {"knots": curve.knots, "values": curve.values}
+def _finite(value, what):
+    """``value`` as a finite float, else ``ValueError``.  It may be a JSON
+    number or a decimal string, as earlier files wrote every number, but
+    not a boolean."""
+    number = math.nan
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+    if not math.isfinite(number):
+        raise ValueError(
+            f"malformed model payload: {what} is {value!r}, not a finite "
+            "number"
+        )
+    return number
 
 
-def _curve_from_payload(payload):
-    # ShapeCurve converts numbers and repr() strings alike to float64
-    return ShapeCurve(payload["knots"], payload["values"])
+def _curve_payload(curve, where):
+    return {"knots": _pack(curve.knots, f"{where}.knots"),
+            "values": _pack(curve.values, f"{where}.values")}
+
+
+def _curve_from_payload(payload, where, packed):
+    """The curve of a ``packed`` (fxam-model/2) or listed (fxam-model/1)
+    curve entry."""
+    _expect(payload, dict, where)
+    knots, values = payload["knots"], payload["values"]
+    if packed:
+        knots = _unpack(knots, f"{where}.knots")
+        values = _unpack(values, f"{where}.values")
+    # ShapeCurve converts listed numbers and repr() strings alike
+    try:
+        return ShapeCurve(knots, values)
+    except ValueError as exc:
+        raise ValueError(f"malformed model payload: {where}: {exc}") from exc
 
 
 def _expect(value, kind, what):
@@ -310,16 +378,21 @@ def serialize(model):
         "schema": model.schema,
         "intercept": float(model.intercept),
         "shapes": {
-            name: _curve_payload(curve) for name, curve in model.shapes.items()
+            name: _curve_payload(curve, f"model.shapes.{name}")
+            for name, curve in model.shapes.items()
         },
         "betas": {label: float(b) for label, b in model.betas.items()},
         "temporals": {
             name: {
                 "tau": int(tc.tau),
                 "period": int(tc.period),
-                "trend": _curve_payload(tc.trend),
+                "trend": _curve_payload(tc.trend,
+                                        f"model.temporals.{name}.trend"),
                 "seasonal_phases": [
-                    _curve_payload(c) for c in tc.seasonal_phases
+                    _curve_payload(
+                        c, f"model.temporals.{name}.seasonal_phases.{phi}"
+                    )
+                    for phi, c in enumerate(tc.seasonal_phases)
                 ],
             }
             for name, tc in model.temporals.items()
@@ -333,12 +406,13 @@ def serialize(model):
 
 
 def deserialize(payload):
-    """Rebuild a model from :func:`serialize` output.
+    """Rebuild a model from :func:`serialize` output, or from an
+    ``fxam-model/1`` file.
 
     Raises
     ------
     ValueError
-        On a version mismatch or a malformed document.
+        On an unsupported version or a malformed document.
     """
     try:
         doc = json.loads(payload)
@@ -346,19 +420,25 @@ def deserialize(payload):
         raise ValueError(f"malformed model payload: {exc}") from exc
     _expect(doc, dict, "the document")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if version not in (FORMAT_VERSION, _LIST_VERSION):
         raise ValueError(
             f"unsupported model format version {version!r} "
-            f"(expected {FORMAT_VERSION!r})"
+            f"(expected {FORMAT_VERSION!r} or {_LIST_VERSION!r})"
         )
+    packed = version == FORMAT_VERSION
     try:
         temporals = {
             name: TemporalCurves(
                 tau=_integer(entry["tau"], f"'{name}' tau"),
                 period=_integer(entry["period"], f"'{name}' period"),
-                trend=_curve_from_payload(entry["trend"]),
+                trend=_curve_from_payload(
+                    entry["trend"], f"temporals.{name}.trend", packed
+                ),
                 seasonal_phases=tuple(
-                    _curve_from_payload(c) for c in entry["seasonal_phases"]
+                    _curve_from_payload(
+                        c, f"temporals.{name}.seasonal_phases.{phi}", packed
+                    )
+                    for phi, c in enumerate(entry["seasonal_phases"])
                 ),
             )
             for name, entry in _expect(doc["temporals"], dict,
@@ -368,14 +448,14 @@ def deserialize(payload):
         for kind, names in schema.items():
             _expect(names, list, f"schema '{kind}'")
         return FxamModel(
-            intercept=float(doc["intercept"]),
+            intercept=_finite(doc["intercept"], "intercept"),
             shapes={
-                name: _curve_from_payload(c)
+                name: _curve_from_payload(c, f"shapes.{name}", packed)
                 for name, c in _expect(doc["shapes"], dict,
                                        "'shapes'").items()
             },
             betas={
-                label: float(b)
+                label: _finite(b, f"betas.{label}")
                 for label, b in _expect(doc["betas"], dict, "'betas'").items()
             },
             temporals=temporals,

@@ -1,9 +1,13 @@
 """Shared builders for the test suite."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
 from fxam.data import Dataset
+from fxam.model import FxamModel, ShapeCurve, serialize
 from fxam.training import TemporalRule, TrainConfig
 
 
@@ -76,3 +80,35 @@ def toy_dataset():
 @pytest.fixture
 def toy_config():
     return tight_toy_config()
+
+
+def packed(values):
+    """Base64 text of float64 values, as fxam-model/2 writes a curve."""
+    return base64.b64encode(
+        np.asarray(values, dtype="<f8").tobytes()
+    ).decode("ascii")
+
+
+# edits of the curve "x" (knots [0, 1], values [0, 2]) in a model file
+MALFORMED_CURVES = {
+    "outside-alphabet": ("values", "!" + packed([0.0, 2.0])[1:]),
+    "ragged-bytes": ("values", base64.b64encode(bytes(12)).decode("ascii")),
+    "unequal-lengths": ("knots", packed([0.0, 1.0, 2.0])),
+    "number-list": ("knots", [0.0, 1.0]),
+    "decoded-nan": ("values", packed([0.0, np.nan])),
+    "decreasing-knots": ("knots", packed([1.0, 0.0])),
+}
+
+
+def malformed_curve_file(case):
+    """A model file whose one curve holds the ``MALFORMED_CURVES`` edit."""
+    model = FxamModel(
+        intercept=1.0,
+        shapes={"x": ShapeCurve([0.0, 1.0], [0.0, 2.0])},
+        betas={}, temporals={},
+        schema={"numerical": ["x"], "categorical": [], "temporal": []},
+    )
+    doc = json.loads(serialize(model))
+    key, value = MALFORMED_CURVES[case]
+    doc["shapes"]["x"][key] = value
+    return json.dumps(doc).encode("utf-8")

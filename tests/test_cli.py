@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_CURVES, malformed_curve_file
+
 from fxam.cli import _build_train_config, build_parser, main
 from fxam.model import FxamModel, ShapeCurve, deserialize, serialize
 from fxam.training import TrainConfig
@@ -255,6 +257,26 @@ class TestExitCodes:
         ])
         assert rc == 3
         assert "malformed model payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [*MALFORMED_CURVES, "nan-intercept"])
+    def test_malformed_model_number_is_data_error(self, pipeline, tmp_path,
+                                                  capsys, case):
+        if case == "nan-intercept":
+            doc = json.loads(Path(pipeline["model"]).read_bytes())
+            doc["intercept"] = float("nan")
+            payload = json.dumps(doc).encode("utf-8")
+        else:
+            payload = malformed_curve_file(case)
+        model = tmp_path / "bad.json"
+        model.write_bytes(payload)
+        out = tmp_path / "pred.csv"
+        rc = main([
+            "predict", "--model", str(model), "--data", pipeline["data"],
+            "--schema", pipeline["schema"], "--out", str(out),
+        ])
+        assert rc == 3
+        assert "error: malformed model payload" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ragged_row_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "ragged.csv"

@@ -6,9 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_toy_dataset, tight_toy_config
+from conftest import (
+    MALFORMED_CURVES,
+    make_toy_dataset,
+    malformed_curve_file,
+    tight_toy_config,
+)
 
 from fxam.model import (
+    FORMAT_VERSION,
     FxamModel,
     ShapeCurve,
     TemporalCurves,
@@ -522,9 +528,72 @@ class TestSerialization:
     def test_version_mismatch_rejected(self, trained):
         _, model = trained
         payload = serialize(model).replace(
-            b"fxam-model/1", b"fxam-model/999"
+            FORMAT_VERSION.encode(), b"fxam-model/999"
         )
         with pytest.raises(ValueError, match="version"):
+            deserialize(payload)
+
+    def test_curves_are_little_endian_float64_base64(self):
+        doc = json.loads(serialize(small_model()))
+        assert doc["version"] == "fxam-model/2"
+        assert doc["shapes"]["x"] == {
+            "knots": "AAAAAAAAAAAAAAAAAADwPw==",
+            "values": "AAAAAAAAAAAAAAAAAAAAQA==",
+        }
+
+    def test_list_format_loads_to_the_same_bits(self, trained):
+        # fxam-model/1 held each curve as an array of JSON numbers; earlier
+        # files also quoted every number and indented the document
+        _, model = trained
+
+        def listed(curve):
+            return {"knots": curve.knots.tolist(),
+                    "values": curve.values.tolist()}
+
+        doc = json.loads(serialize(model))
+        doc["version"] = "fxam-model/1"
+        doc["shapes"] = {name: listed(c) for name, c in model.shapes.items()}
+        for name, tc in model.temporals.items():
+            doc["temporals"][name]["trend"] = listed(tc.trend)
+            doc["temporals"][name]["seasonal_phases"] = [
+                listed(c) for c in tc.seasonal_phases
+            ]
+        numbers = json.dumps(doc, separators=(",", ":"))
+        quoted = json.dumps(quote_floats(doc), indent=1)
+        for legacy in (numbers, quoted):
+            clone = deserialize(legacy.encode("utf-8"))
+            assert_bit_identical(clone, model)
+            assert clone.shapes["x1"].values.flags.writeable
+
+    def test_loaded_curves_are_owned_and_writable(self, trained):
+        _, model = trained
+        curve = deserialize(serialize(model)).shapes["x1"]
+        for array in (curve.knots, curve.values):
+            assert array.flags.owndata and array.flags.writeable
+            assert array.dtype == np.float64
+
+    @pytest.mark.parametrize("case", list(MALFORMED_CURVES))
+    def test_malformed_packed_curve_rejected(self, case):
+        with pytest.raises(ValueError,
+                           match=r"malformed model payload: shapes\.x"):
+            deserialize(malformed_curve_file(case))
+
+    @pytest.mark.parametrize("field", ["intercept", "beta"])
+    @pytest.mark.parametrize("token", [
+        "NaN", "Infinity", "-Infinity", "1e400", '"nan"', "true", "null",
+    ])
+    def test_non_finite_number_rejected_on_load(self, field, token):
+        doc = json.loads(serialize(small_model()))
+        if field == "intercept":
+            doc["intercept"] = "@"
+            what = "intercept"
+        else:
+            doc["betas"]["z=a"] = "@"
+            what = "betas.z=a"
+        payload = json.dumps(doc).replace('"@"', token).encode("utf-8")
+        with pytest.raises(ValueError, match=(
+            f"malformed model payload: {what} is .*, not a finite number"
+        )):
             deserialize(payload)
 
     def test_malformed_payload_rejected(self):
