@@ -238,10 +238,11 @@ def _add_seasonal(total, times, phases, curves):
 # the bytes themselves.  Every other number (intercept, betas, tau,
 # period, diagnostics) is a JSON number: orjson writes each float as its
 # shortest round-trip decimal and the stdlib json reader rounds it back
-# correctly.  The reader stays on json: orjson.loads peaks higher on large
-# documents.  fxam-model/1 files hold curves as arrays of JSON numbers,
-# and earlier ones quoted every number as a repr() string; both still
-# load, through the same float conversion as before.
+# correctly.  The reader stays on json: on fxam-model/1 documents
+# orjson.loads peaked about 15 MB higher.  fxam-model/1 files hold curves
+# as arrays of JSON numbers, and earlier ones quoted every number as a
+# repr() string; both still load, through the same float conversion as
+# before.
 
 def _plain(obj):
     """``orjson.dumps`` hook: what orjson does not write natively, such
