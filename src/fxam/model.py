@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,21 +186,105 @@ def predict_batch(model, columns):
 def _interp(name, x, curve):
     if curve.is_empty:
         raise ValueError(f"feature '{name}': cannot evaluate an empty curve")
-    return np.interp(x, curve.knots, curve.values)
+    return guided_interp(x, curve.knots, curve.values)
+
+
+# The guide table falls back to np.interp when more than this share of a
+# strided probe of the queries lands in cells of three or more knots:
+# those queries take a binary search on top of the table's passes, and
+# near 70% crowded the table stops paying for itself.
+_CROWDED_SHARE = 0.5
+_PROBES = 1024
+
+
+def guided_interp(x, knots, values):
+    """``np.interp(x, knots, values)``, bit for bit, with each query's
+    cell found through a uniform guide table instead of a binary search.
+
+    ``x`` is 1-d; ``knots`` and ``values`` are float64 arrays, the knots
+    finite and strictly increasing and the values finite, as a
+    :class:`ShapeCurve`'s are.  ``2 * knots.size`` equal cells cover
+    ``[knots[0], knots[-1]]``; ``first[c]`` counts the knots in the cells
+    before ``c``.  Knots and (clamped) queries get their
+    cells from one float expression, monotone in its input, so every knot
+    of an earlier cell lies below the query and every knot of a later one
+    above it.  Each query starts at ``first[cell]`` and steps past at most
+    two more knots; the rare query still unresolved gets a binary search
+    on that subset alone.  The value is np.interp's own expression,
+    ``slope[j] * (x - knots[j]) + values[j]``, and a query on a knot or
+    clamped to an end reads ``values[j]`` itself, as np.interp does (this
+    keeps a ``-0.0``).
+
+    Falls back to np.interp itself when there are fewer queries than
+    knots (so a single record skips the table), when the knot span or its
+    cell scale overflows, when a query is NaN, and when most of a probe
+    of the queries lands in crowded cells, where np.interp is faster.
+    """
+    x = np.asarray(x, dtype=float)
+    m = knots.size
+    if x.size < m or m < 2:
+        return np.interp(x, knots, values)
+    low, high = knots[0], knots[-1]
+    cells = 2 * m
+    with np.errstate(over="ignore"):
+        span = high - low
+        scale = cells / span
+    if not (np.isfinite(span) and np.isfinite(scale)) or np.isnan(x).any():
+        return np.interp(x, knots, values)
+
+    def cell(points):
+        # points lie in [low, high], so nothing here overflows
+        t = points - low
+        t *= scale
+        np.minimum(t, cells - 1, out=t)
+        return t.astype(np.intp)
+
+    counts = np.bincount(cell(knots), minlength=cells)
+    probe = np.clip(x[::max(1, x.size // _PROBES)], low, high)
+    crowded = np.count_nonzero(counts[cell(probe)] > 2)
+    if crowded > _CROWDED_SHARE * probe.size:
+        return np.interp(x, knots, values)
+    first = np.zeros(cells, dtype=np.intp)
+    np.cumsum(counts[:-1], out=first[1:])
+    x = np.clip(x, low, high)
+    # after the search, count[i] is the number of knots at or below x[i]
+    count = first.take(cell(x))
+    padded = np.append(knots, np.inf)
+    for _ in range(2):
+        count += padded.take(count) <= x
+    rest = np.flatnonzero(padded.take(count) <= x)
+    if rest.size:
+        count[rest] = np.searchsorted(knots, x[rest], side="right")
+    j = np.subtract(count, 1, out=count)
+    at = knots.take(j)
+    base = values.take(j)
+    on_knot = at == x
+    np.minimum(j, m - 2, out=j)
+    # a slope, or its product, may overflow to an infinity, as in
+    # np.interp; an infinite slope times a query's zero offset from its
+    # knot is NaN, which the knot's own value then replaces
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(values) / np.diff(knots)
+        result = x - at
+        result *= slopes.take(j)
+        result += base
+    np.copyto(result, base, where=on_knot)
+    return result
 
 
 def _add_seasonal(total, times, phases, curves):
     """Add to each row its own phase's curve at its time; a row of an
     empty phase gets nothing added.
 
-    One np.interp runs over every populated phase's knots, phase phi's
-    moved to ``(knot - lowest knot) + phi * (span + 1)``, and each time is
-    clamped to its own phase's knots before it moves, so no row
+    One interpolation runs over every populated phase's knots, phase
+    phi's moved to ``(knot - lowest knot) + phi * (span + 1)``, and each
+    time is clamped to its own phase's knots before it moves, so no row
     interpolates across a seam.  When the knots are integers and the
     moved ones stay within 2**53, every difference np.interp takes is
     exact and equals the one it takes on the phase's own curve, so the
     result is bit for bit that of one np.interp per phase.  Other curves
-    get one np.interp per phase.
+    get one interpolation per phase.  Both go through
+    :func:`guided_interp`, which gives np.interp's result.
     """
     populated = [phi for phi, curve in enumerate(curves)
                  if not curve.is_empty]
@@ -211,8 +296,8 @@ def _add_seasonal(total, times, phases, curves):
     if np.any(knots != np.round(knots)) or len(curves) * step > 2.0 ** 53:
         for phi in populated:
             mask = phases == phi
-            total[mask] += np.interp(times[mask], curves[phi].knots,
-                                     curves[phi].values)
+            total[mask] += guided_interp(times[mask], curves[phi].knots,
+                                         curves[phi].values)
         return
     first = np.zeros(len(curves))
     last = np.zeros(len(curves))
@@ -227,7 +312,7 @@ def _add_seasonal(total, times, phases, curves):
     ])
     values = np.concatenate([curves[phi].values for phi in populated])
     x = (np.clip(times, first[phases], last[phases]) - low) + offsets[phases]
-    np.add(total, np.interp(x, moved, values), out=total,
+    np.add(total, guided_interp(x, moved, values), out=total,
            where=has_curve[phases])
 
 
@@ -320,15 +405,23 @@ def _integer(value, what):
     return value
 
 
+# the decimals repr() writes for an int or a finite float; Python's float()
+# also takes "1_0", surrounding whitespace and non-ASCII digits
+_REPR_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
+
+
 def _finite(value, what):
     """``value`` as a finite float, else ``ValueError``.  It may be a JSON
-    number or a decimal string, as earlier files wrote every number, but
-    not a boolean."""
+    number or a decimal string as repr() writes it, as earlier files wrote
+    every number, but not a boolean."""
     number = math.nan
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+    if isinstance(value, str):
+        if _REPR_DECIMAL.fullmatch(value):
+            number = float(value)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
-        except (ValueError, OverflowError):
+        except OverflowError:  # an int past the float range
             pass
     if not math.isfinite(number):
         raise ValueError(
@@ -336,6 +429,24 @@ def _finite(value, what):
             "number"
         )
     return number
+
+
+def _finite_numbers(obj, where):
+    """``obj``, a parsed JSON value, after checking that every float in it
+    is finite; ``ValueError`` names the first that is not.
+
+    json.loads reads ``NaN``, ``Infinity`` and an out-of-range literal
+    such as ``1e400`` as non-finite floats, which the writer refuses.
+    """
+    if isinstance(obj, float):
+        _finite(obj, where)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            _finite_numbers(value, f"{where}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            _finite_numbers(value, f"{where}[{i}]")
+    return obj
 
 
 def _curve_payload(curve, where):
@@ -461,8 +572,10 @@ def deserialize(payload):
             },
             temporals=temporals,
             schema=schema,
-            diagnostics=_expect(doc.get("diagnostics", {}), dict,
-                                "'diagnostics'"),
+            diagnostics=_finite_numbers(
+                _expect(doc.get("diagnostics", {}), dict, "'diagnostics'"),
+                "diagnostics",
+            ),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model payload: {exc}") from exc

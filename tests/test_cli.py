@@ -1,9 +1,12 @@
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MALFORMED_CURVES, malformed_curve_file
 
@@ -278,6 +281,22 @@ class TestExitCodes:
         assert "error: malformed model payload" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_diagnostic_is_data_error(self, pipeline, tmp_path,
+                                                 capsys):
+        doc = json.loads(Path(pipeline["model"]).read_bytes())
+        doc["diagnostics"]["x"] = float("nan")
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        rc = main([
+            "predict", "--model", str(model), "--data", pipeline["data"],
+            "--schema", pipeline["schema"], "--out", str(out),
+        ])
+        assert rc == 3
+        assert "malformed model payload: diagnostics.x is nan" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_ragged_row_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "ragged.csv"
         data.write_text("x,y\n1.0,2.0\n3.0\n5.0,6.0\n")
@@ -511,3 +530,122 @@ class TestExitCodes:
             "--out", str(tmp_path / "m.json"),
         ])
         assert rc == 3
+
+
+# the exit codes the CLI documents for a run that does not succeed
+DATA_ERROR, NON_CONVERGENCE = 3, 4
+BACKENDS = st.sampled_from(["penalized", "fast-kernel"])
+RESPONSE = st.floats(-10.0, 10.0)
+# feature values to two decimals, as a CSV file records them; knot gaps
+# near 1e-195 are a separate defect of the smoothers (see CHANGES.md)
+CENTS = st.integers(-10_000, 10_000).map(lambda cents: cents / 100)
+
+
+def write_table(path, columns):
+    """A CSV file of ``columns`` (name -> values), in their order."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(list(columns))
+        writer.writerows(zip(*[[repr(v) for v in values]
+                               for values in columns.values()]))
+
+
+def train_and_predict(kinds, columns, backend, query=None, **rule):
+    """Train through the CLI on ``columns`` (with response ``y``), whose
+    feature kinds ``kinds`` gives, then predict the training records, or
+    ``query`` when given.
+
+    Returns the exit code and, when both steps succeed, the loaded model
+    and the predictions.  ``rule`` holds a temporal column's ``period``
+    and ``tau``.
+    """
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        schema = root / "schema.json"
+        schema.write_text(json.dumps({"columns": [
+            {"name": name, "kind": kind,
+             **(rule if kind == "temporal" else {})}
+            for name, kind in {**kinds, "y": "response"}.items()
+        ]}))
+        write_table(root / "train.csv", columns)
+        model = root / "model.json"
+        rc = main([
+            "train", "--data", str(root / "train.csv"), "--schema",
+            str(schema), "--out", str(model), "--backend", backend,
+        ])
+        if rc != 0:
+            return rc, None, None
+        write_table(root / "query.csv", query or columns)
+        out = root / "pred.csv"
+        rc = main([
+            "predict", "--model", str(model), "--data",
+            str(root / "query.csv"), "--schema", str(schema),
+            "--out", str(out),
+        ])
+        if rc != 0:
+            return rc, None, None
+        predictions = np.array([float(row[0]) for row in read_csv(out)[1:]])
+        return rc, deserialize(model.read_bytes()), predictions
+
+
+def assert_result(rc, predictions, n):
+    assert rc in (0, DATA_ERROR, NON_CONVERGENCE)
+    if rc == 0:
+        assert predictions.shape == (n,)
+        assert np.all(np.isfinite(predictions))
+
+
+class TestEdgeShapeProperties:
+    """Training and prediction on the smallest and emptiest shapes end in
+    predictions or a documented exit code, never a raw traceback."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(backend=BACKENDS, n=st.integers(3, 25),
+           constant=CENTS, data=st.data())
+    def test_constant_numerical_column(self, backend, n, constant, data):
+        other = data.draw(st.lists(CENTS, min_size=n, max_size=n))
+        y = data.draw(st.lists(RESPONSE, min_size=n, max_size=n))
+        rc, model, predictions = train_and_predict(
+            {"x": "numerical", "u": "numerical"},
+            {"x": [constant] * n, "u": other, "y": y}, backend,
+        )
+        assert_result(rc, predictions, n)
+        if rc == 0:
+            assert model.shapes["x"].knots.tolist() == [constant]
+
+    @settings(max_examples=30, deadline=None)
+    @given(backend=BACKENDS, n=st.integers(1, 2),
+           period=st.integers(1, 5), data=st.data())
+    def test_one_or_two_records(self, backend, n, period, data):
+        def column(values):
+            return data.draw(st.lists(values, min_size=n, max_size=n))
+
+        rc, _, predictions = train_and_predict(
+            {"x": "numerical", "z": "categorical", "t": "temporal"},
+            {"x": column(CENTS),
+             "z": column(st.sampled_from(["a", "b"])),
+             "t": column(st.integers(0, 50)),
+             "y": column(RESPONSE)},
+            backend, period=period, tau=1,
+        )
+        assert_result(rc, predictions, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(backend=BACKENDS, tau=st.integers(1, 3),
+           period=st.integers(2, 24),
+           ticks=st.sets(st.integers(0, 120), min_size=3, max_size=25),
+           data=st.data())
+    def test_temporal_empty_phases_and_gaps(self, backend, tau, period,
+                                            ticks, data):
+        # few, scattered times leave gaps between them and phases with no
+        # record; prediction covers every time from before the first to
+        # past the last, gaps and empty phases included
+        times = [tau * tick for tick in sorted(ticks)]
+        y = data.draw(st.lists(RESPONSE, min_size=len(times),
+                               max_size=len(times)))
+        query = list(range(-tau * period, tau * (max(ticks) + period), tau))
+        rc, _, predictions = train_and_predict(
+            {"t": "temporal"}, {"t": times, "y": y}, backend,
+            query={"t": query}, period=period, tau=tau,
+        )
+        assert_result(rc, predictions, len(query))

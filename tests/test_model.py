@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     tight_toy_config,
 )
 
+from fxam import model as model_module
 from fxam.model import (
     FORMAT_VERSION,
     FxamModel,
@@ -20,6 +22,7 @@ from fxam.model import (
     TemporalCurves,
     deserialize,
     export_contributions,
+    guided_interp,
     predict,
     predict_batch,
     serialize,
@@ -367,6 +370,140 @@ class TestPredictionProperties:
         )
 
 
+def knot_sets(kind, m, data):
+    """``m`` or fewer strictly increasing finite knots of one ``kind``."""
+    if kind == "uniform":
+        start = data.draw(st.floats(-1e3, 1e3))
+        step = data.draw(st.floats(1e-3, 10.0))
+        knots = start + step * np.arange(m)
+    elif kind == "integer":
+        knots = np.array(sorted(data.draw(st.sets(
+            st.integers(-50, 50), min_size=1, max_size=m,
+        ))), dtype=float)
+    elif kind == "clustered":
+        gaps = data.draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+        knots = 0.5 + np.cumsum(gaps) * 1e-12
+    elif kind == "lognormal":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        knots = rng.lognormal(0.0, 2.0, m)
+    elif kind == "overflowing":
+        # the span, knots[-1] - knots[0], overflows to inf
+        inner = data.draw(st.lists(st.floats(-1.7e308, 1.7e308),
+                                   max_size=m))
+        knots = np.array([-1.7e308, 1.7e308, *inner])
+    else:  # subnormal
+        knots = np.array(sorted(data.draw(st.sets(
+            st.integers(-40, 40), min_size=1, max_size=m,
+        ))), dtype=float) * 5e-324
+    return np.unique(knots)
+
+
+def interp_queries(knots, data):
+    """At least ``knots.size`` queries: at knots, between them, beyond
+    both ends and at signed zeros."""
+    low, high = float(knots[0]), float(knots[-1])
+    query = st.one_of(
+        st.sampled_from(knots.tolist()),
+        st.floats(low, high),
+        st.sampled_from([
+            -0.0, 0.0, -1.7e308, 1.7e308,
+            float(np.nextafter(low, -np.inf)),
+            float(np.nextafter(high, np.inf)),
+        ]),
+    )
+    return np.array(data.draw(st.lists(query, min_size=knots.size,
+                                       max_size=knots.size + 40)))
+
+
+class TestGuidedInterp:
+    """guided_interp must return np.interp's result to the bit."""
+
+    @pytest.mark.parametrize("crowded_share", [
+        model_module._CROWDED_SHARE,
+        1.0,  # never falls back on crowding, so every search path runs
+    ])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "integer", "clustered", "lognormal",
+                              "overflowing", "subnormal"]),
+        m=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_matches_np_interp_bit_for_bit(self, crowded_share, kind, m,
+                                           data):
+        knots = knot_sets(kind, m, data)
+        # signed zeros, and extremes whose slopes overflow to infinity
+        value = st.one_of(
+            st.sampled_from([0.0, -0.0, 1e308, -1e308]), FINITE,
+        )
+        values = np.array(data.draw(st.lists(
+            value, min_size=knots.size, max_size=knots.size,
+        )), dtype=float)
+        x = interp_queries(knots, data)
+        with mock.patch.object(model_module, "_CROWDED_SHARE",
+                               crowded_share):
+            got = guided_interp(x, knots, values)
+        assert bits(got) == bits(np.interp(x, knots, values))
+
+    @pytest.mark.parametrize("knots,values", [
+        ([0.0], [-0.0]),
+        ([-1.0, 1.0], [-1e308, 1e308]),
+        ([-1e308, 1e308], [1.0, -0.0]),
+        ([0.0, 5e-324, 1e-323], [1e308, -1e308, 0.0]),
+    ], ids=["one-knot", "overflowing-slope", "overflowing-span",
+            "subnormal-span"])
+    def test_edge_curves(self, knots, values):
+        knots, values = np.array(knots), np.array(values)
+        x = np.array([-np.inf, -1.7e308, -1.0, -0.0, 0.0, 5e-324, 0.5,
+                      1.0, 1.7e308, np.inf, *knots])
+        assert bits(guided_interp(x, knots, values)) == bits(
+            np.interp(x, knots, values)
+        )
+
+    @pytest.mark.parametrize("crowded_share", [
+        model_module._CROWDED_SHARE, 1.0,
+    ])
+    def test_crowded_cell(self, crowded_share):
+        # twenty knots 1e-12 apart share one cell of a [0, 1] table, so a
+        # query among them is left to the binary search
+        knots = np.unique(np.concatenate([
+            np.linspace(0.0, 1.0, 20), 0.5 + np.arange(20) * 1e-12,
+        ]))
+        values = np.cos(np.arange(knots.size) * 1e6)
+        x = np.concatenate([0.5 + np.linspace(0, 2e-11, 40),
+                            np.linspace(-0.5, 1.5, 20)])
+        with mock.patch.object(model_module, "_CROWDED_SHARE",
+                               crowded_share):
+            got = guided_interp(x, knots, values)
+        assert bits(got) == bits(np.interp(x, knots, values))
+
+    def test_nan_query_falls_back(self):
+        knots = np.arange(4.0)
+        x = np.array([0.5, np.nan, 1.5, 2.5, 3.5])
+        got = guided_interp(x, knots, knots ** 2)
+        assert bits(got) == bits(np.interp(x, knots, knots ** 2))
+
+    def test_single_record_takes_np_interp(self, monkeypatch):
+        curve = ShapeCurve(np.linspace(0.0, 1.0, 50), np.linspace(0, 2, 50))
+        model = FxamModel(
+            intercept=0.0, shapes={"x": curve}, betas={}, temporals={},
+            schema={"numerical": ["x"], "categorical": [], "temporal": []},
+        )
+        calls = []
+        interp = np.interp
+
+        def spy(*args):
+            calls.append(np.size(args[0]))
+            return interp(*args)
+
+        monkeypatch.setattr(np, "interp", spy)
+        predict(model, {"x": 0.25})
+        assert calls == [1]
+        # a batch of more queries than knots goes through the table
+        predict_batch(model, {"x": np.linspace(-1.0, 2.0, 200)})
+        assert calls == [1]
+
+
 class TestSerialization:
     def test_round_trip_is_bit_faithful(self, trained):
         dataset, model = trained
@@ -595,6 +732,42 @@ class TestSerialization:
             f"malformed model payload: {what} is .*, not a finite number"
         )):
             deserialize(payload)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1e400"])
+    @pytest.mark.parametrize("where,diagnostics", [
+        ("diagnostics.x", {"x": "@"}),
+        ("diagnostics.timings.fit", {"timings": {"fit": "@", "n": 1}}),
+        (r"diagnostics.objective_history\[1\]",
+         {"objective_history": [2.0, "@"]}),
+    ], ids=["top", "nested", "listed"])
+    def test_non_finite_diagnostic_rejected_on_load(self, token, where,
+                                                    diagnostics):
+        # loaded, it could not be written back
+        doc = json.loads(serialize(small_model()))
+        doc["diagnostics"] = diagnostics
+        payload = json.dumps(doc).replace('"@"', token).encode("utf-8")
+        with pytest.raises(ValueError, match=(
+            f"malformed model payload: {where} is .*, not a finite number"
+        )):
+            deserialize(payload)
+
+    @pytest.mark.parametrize("field", ["intercept", "beta"])
+    @pytest.mark.parametrize("text", ["1_0", " 1", "1\n"],
+                             ids=["underscore", "space", "newline"])
+    def test_quoted_number_unlike_repr_rejected(self, field, text):
+        # float() takes each of these; repr() writes none of them
+        doc = json.loads(serialize(small_model()))
+        if field == "intercept":
+            doc["intercept"] = text
+            what = "intercept"
+        else:
+            doc["betas"]["z=a"] = text
+            what = "betas.z=a"
+        with pytest.raises(ValueError, match=(
+            f"malformed model payload: {what} is .*, not a finite number"
+        )):
+            deserialize(json.dumps(doc).encode("utf-8"))
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
