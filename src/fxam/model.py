@@ -203,34 +203,64 @@ def guided_interp(x, knots, values):
 
     ``x`` is 1-d; ``knots`` and ``values`` are float64 arrays, the knots
     finite and strictly increasing and the values finite, as a
-    :class:`ShapeCurve`'s are.  ``2 * knots.size`` equal cells cover
-    ``[knots[0], knots[-1]]``; ``first[c]`` counts the knots in the cells
-    before ``c``.  Knots and (clamped) queries get their
-    cells from one float expression, monotone in its input, so every knot
-    of an earlier cell lies below the query and every knot of a later one
-    above it.  Each query starts at ``first[cell]`` and steps past at most
-    two more knots; the rare query still unresolved gets a binary search
-    on that subset alone.  The value is np.interp's own expression,
+    :class:`ShapeCurve`'s are.  :func:`_guided_search` finds each
+    query's knot.  The value is np.interp's own expression,
     ``slope[j] * (x - knots[j]) + values[j]``, and a query on a knot or
     clamped to an end reads ``values[j]`` itself, as np.interp does (this
-    keeps a ``-0.0``).
-
-    Falls back to np.interp itself when there are fewer queries than
-    knots (so a single record skips the table), when the knot span or its
-    cell scale overflows, when a query is NaN, and when most of a probe
-    of the queries lands in crowded cells, where np.interp is faster.
+    keeps a ``-0.0``).  Where the search declines, np.interp runs.
     """
     x = np.asarray(x, dtype=float)
+    found = _guided_search(x, knots)
+    if found is None:
+        return np.interp(x, knots, values)
+    j, x = found
+    at = knots.take(j)
+    base = values.take(j)
+    on_knot = at == x
+    np.minimum(j, knots.size - 2, out=j)
+    # a slope, or its product, may overflow to an infinity, as in
+    # np.interp; an infinite slope times a query's zero offset from its
+    # knot is NaN, which the knot's own value then replaces
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(values) / np.diff(knots)
+        result = x - at
+        result *= slopes.take(j)
+        result += base
+    np.copyto(result, base, where=on_knot)
+    return result
+
+
+def _guided_search(x, knots):
+    """``(j, clamped)``: ``x`` clamped to the knots' range, and for each
+    query the index of the last knot at or below it.  None where
+    np.interp should run instead.
+
+    ``2 * knots.size`` equal cells cover ``[knots[0], knots[-1]]``;
+    ``first[c]`` counts the knots in the cells before ``c``.  Knots and
+    clamped queries get their cells from one float expression, monotone
+    in its input, so every knot of an earlier cell lies below the query
+    and every knot of a later one above it.  Each query starts at
+    ``first[cell]`` and steps past at most two more knots; the rare query
+    still unresolved gets a binary search on that subset alone.
+
+    Declines when there are fewer queries than knots (so a single record
+    skips the table), when the knot span or its cell scale overflows,
+    when a query is NaN, and when most of a probe of the queries lands in
+    crowded cells, where np.interp is faster.  Its temporaries are freed
+    on return, before np.interp or the caller allocates a result of the
+    queries' size; kept alive, they made that allocation fault in fresh
+    pages.
+    """
     m = knots.size
     if x.size < m or m < 2:
-        return np.interp(x, knots, values)
+        return None
     low, high = knots[0], knots[-1]
     cells = 2 * m
     with np.errstate(over="ignore"):
         span = high - low
         scale = cells / span
     if not (np.isfinite(span) and np.isfinite(scale)) or np.isnan(x).any():
-        return np.interp(x, knots, values)
+        return None
 
     def cell(points):
         # points lie in [low, high], so nothing here overflows
@@ -241,9 +271,8 @@ def guided_interp(x, knots, values):
 
     counts = np.bincount(cell(knots), minlength=cells)
     probe = np.clip(x[::max(1, x.size // _PROBES)], low, high)
-    crowded = np.count_nonzero(counts[cell(probe)] > 2)
-    if crowded > _CROWDED_SHARE * probe.size:
-        return np.interp(x, knots, values)
+    if np.count_nonzero(counts[cell(probe)] > 2) > _CROWDED_SHARE * probe.size:
+        return None
     first = np.zeros(cells, dtype=np.intp)
     np.cumsum(counts[:-1], out=first[1:])
     x = np.clip(x, low, high)
@@ -255,21 +284,7 @@ def guided_interp(x, knots, values):
     rest = np.flatnonzero(padded.take(count) <= x)
     if rest.size:
         count[rest] = np.searchsorted(knots, x[rest], side="right")
-    j = np.subtract(count, 1, out=count)
-    at = knots.take(j)
-    base = values.take(j)
-    on_knot = at == x
-    np.minimum(j, m - 2, out=j)
-    # a slope, or its product, may overflow to an infinity, as in
-    # np.interp; an infinite slope times a query's zero offset from its
-    # knot is NaN, which the knot's own value then replaces
-    with np.errstate(over="ignore", invalid="ignore"):
-        slopes = np.diff(values) / np.diff(knots)
-        result = x - at
-        result *= slopes.take(j)
-        result += base
-    np.copyto(result, base, where=on_knot)
-    return result
+    return np.subtract(count, 1, out=count), x
 
 
 def _add_seasonal(total, times, phases, curves):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import MALFORMED_CURVES, malformed_curve_file
 
-from fxam.cli import _build_train_config, build_parser, main
+from fxam.cli import (
+    DATA_ERROR,
+    NON_CONVERGENCE,
+    _build_train_config,
+    build_parser,
+    main,
+)
 from fxam.model import FxamModel, ShapeCurve, deserialize, serialize
 from fxam.training import TrainConfig
 
@@ -532,8 +538,6 @@ class TestExitCodes:
         assert rc == 3
 
 
-# the exit codes the CLI documents for a run that does not succeed
-DATA_ERROR, NON_CONVERGENCE = 3, 4
 BACKENDS = st.sampled_from(["penalized", "fast-kernel"])
 RESPONSE = st.floats(-10.0, 10.0)
 # feature values to two decimals, as a CSV file records them; knot gaps
@@ -546,8 +550,11 @@ def write_table(path, columns):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(columns))
-        writer.writerows(zip(*[[repr(v) for v in values]
-                               for values in columns.values()]))
+        # repr() spells a float so that it reads back to the same bits
+        writer.writerows(zip(*[
+            [v if isinstance(v, str) else repr(v) for v in values]
+            for values in columns.values()
+        ]))
 
 
 def train_and_predict(kinds, columns, backend, query=None, **rule):
