@@ -203,10 +203,6 @@ class CategoricalEncoding:
     def cardinality(self):
         return len(self.labels)
 
-    @property
-    def n_features(self):
-        return self.row_indices.shape[1]
-
 
 def factorize(column):
     """Distinct values of a label column and the code of every record.

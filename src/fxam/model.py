@@ -10,9 +10,7 @@ range; unseen categorical values contribute zero.
 from __future__ import annotations
 
 import base64
-import json
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +19,6 @@ import orjson
 from .data import LABEL_SEPARATOR, factorize, float_column, integer_times
 
 FORMAT_VERSION = "fxam-model/2"
-# the first format, whose curves are arrays of JSON numbers; still read
-_LIST_VERSION = "fxam-model/1"
 
 
 @dataclass(frozen=True)
@@ -333,35 +329,31 @@ def _add_seasonal(total, times, phases, curves):
 
 # --- serialization ---------------------------------------------------------
 # Each curve's knots and values are one base64 string of little-endian
-# float64 ("<f8") bytes, so a large model is a few dozen long strings for
-# json.loads to read, not one JSON number per knot, and the round trip is
-# the bytes themselves.  Every other number (intercept, betas, tau,
-# period, diagnostics) is a JSON number: orjson writes each float as its
-# shortest round-trip decimal and the stdlib json reader rounds it back
-# correctly.  The reader stays on json: on fxam-model/1 documents
-# orjson.loads peaked about 15 MB higher.  fxam-model/1 files hold curves
-# as arrays of JSON numbers, and earlier ones quoted every number as a
-# repr() string; both still load, through the same float conversion as
-# before.
-
-def _plain(obj):
-    """``orjson.dumps`` hook: what orjson does not write natively, such
-    as non-contiguous arrays, as plain values."""
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
+# float64 ("<f8") bytes, so a large model is a few dozen long strings to
+# parse, not one JSON number per knot, and the round trip is the bytes
+# themselves.  Every other number (intercept, betas, tau, period,
+# diagnostics) is a JSON number: orjson writes each float as its shortest
+# round-trip decimal and reads it back to the same bits.  Its reader
+# refuses NaN, Infinity and out-of-range literals such as 1e400, so every
+# float a loaded file holds is finite, as the writer requires.
 
 def _portable(obj, where):
-    """``obj`` with every numpy float as float64, checked finite.
+    """``obj`` as plain Python values, every float a float64 checked
+    finite.
 
-    orjson writes a float32 as its own shortest decimal and cannot write
-    a longdouble at all; converted first, each reads back as
-    ``float(np.float64(v))``.  Raises ``ValueError`` on a NaN or infinity,
-    which orjson would write as ``null``.
+    A numpy float becomes ``float(np.float64(v))``, so a float32 or a
+    longdouble reads back as that; other numpy scalars go through
+    ``.item()`` and arrays through ``.tolist()``.  Raises ``ValueError``
+    on a NaN or infinity, which orjson would write as ``null``.
     """
-    if isinstance(obj, np.floating):
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            obj = obj.astype(np.float64, copy=False)
+        obj = obj.tolist()
+    elif isinstance(obj, np.floating):
         obj = float(np.float64(obj))
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite number in {where}")
@@ -371,10 +363,6 @@ def _portable(obj, where):
                 for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_portable(value, where) for value in obj]
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        obj = obj.astype(np.float64, copy=False)
-        if not np.all(np.isfinite(obj)):
-            raise ValueError(f"non-finite number in {where}")
     return obj
 
 
@@ -420,53 +408,15 @@ def _integer(value, what):
     return value
 
 
-# the decimals repr() writes for an int or a finite float; Python's float()
-# also takes "1_0", surrounding whitespace and non-ASCII digits
-_REPR_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
-
-
 def _finite(value, what):
-    """``value`` as a finite float, else ``ValueError``.  It may be a JSON
-    number or a decimal string as repr() writes it, as earlier files wrote
-    every number, but not a boolean."""
-    number = math.nan
-    if isinstance(value, str):
-        if _REPR_DECIMAL.fullmatch(value):
-            number = float(value)
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an int past the float range
-            pass
-    if not math.isfinite(number):
+    """``value`` as a float if it is a JSON number, not a boolean, else
+    ``ValueError``; orjson has already refused every non-finite one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(
             f"malformed model payload: {what} is {value!r}, not a finite "
             "number"
         )
-    return number
-
-
-def _finite_numbers(obj, where, path=()):
-    """``obj``, a parsed JSON object or array, after checking that every
-    float in it is finite; ``ValueError`` names the first that is not.
-
-    json.loads reads ``NaN``, ``Infinity`` and an out-of-range literal
-    such as ``1e400`` as non-finite floats, which the writer refuses.  It
-    gives exact dicts, lists and floats, so exact type tests serve, and a
-    path is spelled only for a bad number: the walk stays about 1% of
-    loading a small model.
-    """
-    for key, value in (obj.items() if type(obj) is dict else enumerate(obj)):
-        kind = type(value)
-        if kind is float:
-            if not math.isfinite(value):
-                _finite(value, where + "".join(
-                    f"[{k}]" if type(k) is int else f".{k}"
-                    for k in (*path, key)
-                ))
-        elif kind is dict or kind is list:
-            _finite_numbers(value, where, (*path, key))
-    return obj
+    return float(value)
 
 
 def _curve_payload(curve, where):
@@ -474,15 +424,11 @@ def _curve_payload(curve, where):
             "values": _pack(curve.values, f"{where}.values")}
 
 
-def _curve_from_payload(payload, where, packed):
-    """The curve of a ``packed`` (fxam-model/2) or listed (fxam-model/1)
-    curve entry."""
+def _curve_from_payload(payload, where):
+    """The curve of one ``{"knots": ..., "values": ...}`` entry."""
     _expect(payload, dict, where)
-    knots, values = payload["knots"], payload["values"]
-    if packed:
-        knots = _unpack(knots, f"{where}.knots")
-        values = _unpack(values, f"{where}.values")
-    # ShapeCurve converts listed numbers and repr() strings alike
+    knots = _unpack(payload["knots"], f"{where}.knots")
+    values = _unpack(payload["values"], f"{where}.values")
     try:
         return ShapeCurve(knots, values)
     except ValueError as exc:
@@ -531,44 +477,42 @@ def serialize(model):
         },
         "diagnostics": model.diagnostics,
     }
-    return orjson.dumps(
-        _portable(doc, "model"), option=orjson.OPT_SERIALIZE_NUMPY,
-        default=_plain,
-    )
+    return orjson.dumps(_portable(doc, "model"))
 
 
 def deserialize(payload):
-    """Rebuild a model from :func:`serialize` output, or from an
-    ``fxam-model/1`` file.
+    """Rebuild a model from :func:`serialize` output.
 
     Raises
     ------
     ValueError
-        On an unsupported version or a malformed document.
+        On an unsupported version or a malformed document.  A document
+        orjson cannot parse (a NaN, an infinity, a number past the float
+        range, a byte-order mark) is malformed, and the message gives
+        the line and column.
     """
     try:
-        doc = json.loads(payload)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = orjson.loads(payload)
+    except orjson.JSONDecodeError as exc:
         raise ValueError(f"malformed model payload: {exc}") from exc
     _expect(doc, dict, "the document")
     version = doc.get("version")
-    if version not in (FORMAT_VERSION, _LIST_VERSION):
+    if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format version {version!r} "
-            f"(expected {FORMAT_VERSION!r} or {_LIST_VERSION!r})"
+            f"(expected {FORMAT_VERSION!r})"
         )
-    packed = version == FORMAT_VERSION
     try:
         temporals = {
             name: TemporalCurves(
                 tau=_integer(entry["tau"], f"'{name}' tau"),
                 period=_integer(entry["period"], f"'{name}' period"),
                 trend=_curve_from_payload(
-                    entry["trend"], f"temporals.{name}.trend", packed
+                    entry["trend"], f"temporals.{name}.trend"
                 ),
                 seasonal_phases=tuple(
                     _curve_from_payload(
-                        c, f"temporals.{name}.seasonal_phases.{phi}", packed
+                        c, f"temporals.{name}.seasonal_phases.{phi}"
                     )
                     for phi, c in enumerate(entry["seasonal_phases"])
                 ),
@@ -582,7 +526,7 @@ def deserialize(payload):
         return FxamModel(
             intercept=_finite(doc["intercept"], "intercept"),
             shapes={
-                name: _curve_from_payload(c, f"shapes.{name}", packed)
+                name: _curve_from_payload(c, f"shapes.{name}")
                 for name, c in _expect(doc["shapes"], dict,
                                        "'shapes'").items()
             },
@@ -592,10 +536,8 @@ def deserialize(payload):
             },
             temporals=temporals,
             schema=schema,
-            diagnostics=_finite_numbers(
-                _expect(doc.get("diagnostics", {}), dict, "'diagnostics'"),
-                "diagnostics",
-            ),
+            diagnostics=_expect(doc.get("diagnostics", {}), dict,
+                                "'diagnostics'"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model payload: {exc}") from exc

@@ -13,6 +13,8 @@ Two backends share one contract (fit values at the input knots):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
 
@@ -120,12 +122,17 @@ class KernelSmootherPlan:
             raise ValueError("x must be sorted ascending")
         h = float(bandwidth)
         self.n = x.size
-        xc = (x - x.mean()).astype(dtype)
+        self.lo = np.searchsorted(x, x - h, side="left")
+        self.hi = np.searchsorted(x, x + h, side="right")
+        # the sums run on knots and bandwidth scaled by the power of two
+        # that brings h into [0.5, 1): exact, so the fit is unchanged, and
+        # h * h cannot underflow however close the knots lie
+        scale = math.ldexp(1.0, -math.frexp(h)[1])
+        h *= scale
+        xc = (x - x.mean()).astype(dtype) * dtype(scale)
         self.xc = xc
         self.xc_sq = xc * xc
         self.wl = w.astype(dtype)
-        self.lo = np.searchsorted(x, x - h, side="left")
-        self.hi = np.searchsorted(x, x + h, side="right")
         self.coef_a = 1.0 - self.xc_sq / (h * h)
         self.coef_b = 2.0 * xc / (h * h)
         self.coef_c = dtype(1.0) / (h * h)
@@ -134,7 +141,6 @@ class KernelSmootherPlan:
         s_w, s_xw, s_xxw = (self._window_sums(t) for t in den_terms)
         self.den = self.coef_a * s_w + self.coef_b * s_xw \
             - self.coef_c * s_xxw
-        self.updates_per_call = 3 * self.n
 
     def _window_sums(self, term):
         prefix = np.empty(term.size + 1, dtype=self.dtype)
@@ -154,8 +160,7 @@ class KernelSmootherPlan:
         return (num / self.den).astype(float)
 
 
-def fast_kernel_smooth(x, y, bandwidth, weights=None,
-                       return_update_count=False):
+def fast_kernel_smooth(x, y, bandwidth, weights=None):
     """Linear-time Epanechnikov smoother via sliding cumulative sums.
 
     Because the kernel is a degree-2 polynomial in x, the windowed sums
@@ -174,18 +179,9 @@ def fast_kernel_smooth(x, y, bandwidth, weights=None,
         Values and positive weights per point.
     bandwidth : float
         Kernel half-window h > 0.
-    return_update_count : bool
-        When True, also return the number of additions performed while
-        building the running sums (a measured linearity witness).
     """
     x, y, w = _check_inputs(x, y, weights)
-    plan = KernelSmootherPlan(x, bandwidth, w, dtype=np.longdouble)
-    fit = plan.smooth(y)
-    if return_update_count:
-        # three target-side sums per call plus the three precomputed
-        # denominator-side sums
-        return fit, plan.updates_per_call + 3 * plan.n
-    return fit
+    return KernelSmootherPlan(x, bandwidth, w, dtype=np.longdouble).smooth(y)
 
 
 def second_difference_matrix(x):
@@ -270,13 +266,21 @@ def _penalized_bands(x, lam, w):
 
 
 def penalized_factor(x, lam, weights=None):
-    """Cholesky factor of (W + lam * K); reusable across targets."""
+    """Cholesky factor of (W + lam * K); reusable across targets.
+
+    Raises ``np.linalg.LinAlgError`` when the matrix does not factor,
+    including when knot gaps are so small that its bands overflow.
+    """
     x = np.asarray(x, dtype=float)
     if weights is None:
         weights = np.ones_like(x)
-    return cholesky_banded(
-        _penalized_bands(x, lam, weights), lower=False, check_finite=False
-    )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bands = _penalized_bands(x, lam, weights)
+    if not np.all(np.isfinite(bands)):
+        raise np.linalg.LinAlgError(
+            "knot gaps too small: the banded matrix is not finite"
+        )
+    return cholesky_banded(bands, lower=False, check_finite=False)
 
 
 def penalized_apply(factor, y, weights=None):

@@ -89,6 +89,14 @@ def packed(values):
     ).decode("ascii")
 
 
+# numerical columns whose knot gaps square to below the float range
+TINY_GAP_COLUMNS = [
+    [0.0, 1e-195, 2e-195, 3e-195],
+    [0.0, 1e-300, 3e-300, 4e-300],
+    [0.0, 1.0, 1.35e-195],
+]
+
+
 # edits of the curve "x" (knots [0, 1], values [0, 2]) in a model file
 MALFORMED_CURVES = {
     "outside-alphabet": ("values", "!" + packed([0.0, 2.0])[1:]),

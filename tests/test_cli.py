@@ -5,10 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_CURVES, malformed_curve_file
+from conftest import (
+    MALFORMED_CURVES,
+    TINY_GAP_COLUMNS,
+    malformed_curve_file,
+)
 
 from fxam.cli import (
     DATA_ERROR,
@@ -299,7 +303,27 @@ class TestExitCodes:
             "--schema", pipeline["schema"], "--out", str(out),
         ])
         assert rc == 3
-        assert "malformed model payload: diagnostics.x is nan" in \
+        err = capsys.readouterr().err
+        assert "malformed model payload" in err
+        assert "line 1 column" in err
+        assert not out.exists()
+
+    def test_list_format_model_is_data_error(self, pipeline, tmp_path,
+                                             capsys):
+        # fxam-model/1 held curves as arrays of JSON numbers
+        doc = json.loads(Path(pipeline["model"]).read_bytes())
+        doc["version"] = "fxam-model/1"
+        for curve in doc["shapes"].values():
+            curve["knots"] = curve["values"] = [0.0]
+        model = tmp_path / "v1.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        rc = main([
+            "predict", "--model", str(model), "--data", pipeline["data"],
+            "--schema", pipeline["schema"], "--out", str(out),
+        ])
+        assert rc == 3
+        assert "unsupported model format version 'fxam-model/1'" in \
             capsys.readouterr().err
         assert not out.exists()
 
@@ -540,9 +564,20 @@ class TestExitCodes:
 
 BACKENDS = st.sampled_from(["penalized", "fast-kernel"])
 RESPONSE = st.floats(-10.0, 10.0)
-# feature values to two decimals, as a CSV file records them; knot gaps
-# near 1e-195 are a separate defect of the smoothers (see CHANGES.md)
+# feature values to two decimals, as a CSV file records them
 CENTS = st.integers(-10_000, 10_000).map(lambda cents: cents / 100)
+
+
+def tiny_gap_examples(test):
+    """``test`` with an explicit example per backend and tiny-gap column,
+    each beside a constant column."""
+    for backend in ("penalized", "fast-kernel"):
+        for column in TINY_GAP_COLUMNS:
+            test = example(
+                backend=backend, constant=0.5, other=column,
+                y=[1.0, -2.0, 3.0] * 9,
+            )(test)
+    return test
 
 
 def write_table(path, columns):
@@ -607,14 +642,15 @@ class TestEdgeShapeProperties:
     predictions or a documented exit code, never a raw traceback."""
 
     @settings(max_examples=30, deadline=None)
-    @given(backend=BACKENDS, n=st.integers(3, 25),
-           constant=CENTS, data=st.data())
-    def test_constant_numerical_column(self, backend, n, constant, data):
-        other = data.draw(st.lists(CENTS, min_size=n, max_size=n))
-        y = data.draw(st.lists(RESPONSE, min_size=n, max_size=n))
+    @given(backend=BACKENDS, constant=CENTS,
+           other=st.lists(CENTS, min_size=3, max_size=25),
+           y=st.lists(RESPONSE, min_size=25, max_size=25))
+    @tiny_gap_examples
+    def test_constant_numerical_column(self, backend, constant, other, y):
+        n = len(other)
         rc, model, predictions = train_and_predict(
             {"x": "numerical", "u": "numerical"},
-            {"x": [constant] * n, "u": other, "y": y}, backend,
+            {"x": [constant] * n, "u": other, "y": y[:n]}, backend,
         )
         assert_result(rc, predictions, n)
         if rc == 0:

@@ -41,7 +41,7 @@ def test_seasonal_trend_demo():
 def test_fast_smoothing_demo():
     done = run_demo("04_fast_smoothing.py")
     assert done.returncode == 0, done.stderr
-    assert "accumulator updates" in done.stdout
+    assert "ns per point" in done.stdout
 
 
 def test_cross_validation_demo():

@@ -91,20 +91,6 @@ class TestFastKernelSmooth:
         with pytest.raises(ValueError, match="sorted"):
             fast_kernel_smooth(np.array([1.0, 0.0]), np.zeros(2), 1.0)
 
-    def test_update_count_linear(self):
-        # the accumulator update count grows linearly, about 6 per point
-        rng = np.random.default_rng(3)
-        counts = {}
-        for n in (1000, 2000, 4000):
-            x = np.sort(rng.uniform(0, 10, n))
-            _, updates = fast_kernel_smooth(
-                x, rng.normal(size=n), 0.5, return_update_count=True
-            )
-            counts[n] = updates
-            assert updates <= 8 * n
-        assert counts[2000] == 2 * counts[1000]
-        assert counts[4000] == 2 * counts[2000]
-
 
 class TestPenalizedSmooth:
     def test_zero_penalty_interpolates(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_toy_dataset, tight_toy_config
+from conftest import TINY_GAP_COLUMNS, make_toy_dataset, tight_toy_config
 
 import fxam.training
 from fxam.categorical import ConvergenceError, RidgeSystem, closed_form_ridge
@@ -334,6 +334,29 @@ class TestStage1:
                                        cache.counts)
         error = np.max(np.abs(cache.smooth(target) - expected))
         assert error <= 1e-10 * np.std(target)
+
+    @pytest.mark.parametrize("column", TINY_GAP_COLUMNS)
+    @pytest.mark.parametrize("backend", ["fast-kernel", "penalized"])
+    def test_tiny_knot_gaps(self, backend, column):
+        # the squared gaps (and squared bandwidth) underflow; the kernel
+        # backend fits anyway, the penalized one names the feature, and
+        # neither warns
+        x = np.array(column)
+        y = np.arange(x.size, dtype=float) % 3
+        ds = Dataset(response=y, numerical={"c": np.full(x.size, 0.5),
+                                            "x": x})
+        config = TrainConfig(backend=backend, temporal_rules={})
+        if backend == "penalized":
+            with pytest.raises(ConvergenceError, match=(
+                "numerical feature 'x': the penalized smoother does not "
+                "factor"
+            )):
+                tsi_train(ds, config)
+            return
+        model = tsi_train(ds, config)
+        np.testing.assert_array_equal(model.shapes["x"].knots, np.sort(x))
+        assert np.all(np.isfinite(model.shapes["x"].values))
+        assert np.all(np.isfinite(predict_batch(model, columns_of(ds))))
 
     def test_components_have_mean_zero(self):
         ds = numerical_only_dataset(3, n=200, p=3)
