@@ -37,6 +37,27 @@ def _record_smoother(knots, weights, inverse, penalty):
     return knot_space[np.ix_(inverse, inverse)]
 
 
+def expanded_components(problem, state):
+    """Every smoothing component of ``state`` expanded to the records.
+
+    Keys are the block names of :func:`normal_equation_residuals`
+    (``numerical:<name>``, ``trend:<name>``, ``seasonal:<name>``); each
+    curve is gathered through its cache's ``inverse`` or ``back_map``.  A
+    temporal feature not yet decomposed expands to zeros.
+    """
+    out = {}
+    for name, cache in problem.numerical.items():
+        out[f"numerical:{name}"] = state.numerical_curves[name][cache.inverse]
+    for name, cache in problem.temporal.items():
+        components = state.temporal_components.get(name)
+        for key in ("trend", "seasonal"):
+            out[f"{key}:{name}"] = (
+                np.zeros(problem.n) if components is None
+                else getattr(components, key)[cache.series.back_map]
+            )
+    return out
+
+
 def normal_equation_residuals(problem, state,
                               max_records=RESIDUAL_SUPPORT_LIMIT):
     """Inf-norm violation of each block's stationarity equation.
@@ -56,12 +77,11 @@ def normal_equation_residuals(problem, state,
             f"exceeds {max_records}"
         )
     y = problem.y
+    fits = expanded_components(problem, state)
     total = np.full(problem.n, state.intercept)
-    for fit in state.numerical_fits.values():
+    for fit in fits.values():
         total += fit
     total += state.categorical_fit
-    for name in problem.temporal:
-        total += state.trend_fits[name] + state.seasonal_fits[name]
 
     residuals = {}
 
@@ -72,7 +92,7 @@ def normal_equation_residuals(problem, state,
     for name, cache in problem.numerical.items():
         matrix = _record_smoother(cache.knots, cache.counts, cache.inverse,
                                   config.smoothness)
-        fit = state.numerical_fits[name]
+        fit = fits[f"numerical:{name}"]
         target = y - (total - fit)
         residuals[f"numerical:{name}"] = float(
             np.max(np.abs(fit - matrix @ target))
@@ -93,7 +113,7 @@ def normal_equation_residuals(problem, state,
     for name, cache in problem.temporal.items():
         times = cache.series.times.astype(float)
         back = cache.series.back_map
-        fit = state.trend_fits[name]
+        fit = fits[f"trend:{name}"]
         matrix = _record_smoother(times, cache.weights, back,
                                   config.trend_smoothness)
         target = y - (total - fit)
@@ -101,7 +121,7 @@ def normal_equation_residuals(problem, state,
             np.max(np.abs(fit - matrix @ target))
         )
 
-        fit = state.seasonal_fits[name]
+        fit = fits[f"seasonal:{name}"]
         target = y - (total - fit)
         applied = np.zeros(problem.n)
         for idx in cache.partition.phase_sets:

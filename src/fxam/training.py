@@ -12,6 +12,14 @@ objective is non-increasing and the fixed point solves the model's
 normal equations; :mod:`fxam.oracle` checks that against a dense direct
 solve of the same system.
 
+Every component lives on its own knots (numerical curves on the
+feature's distinct values, temporal components on the compressed time
+points); the records see them only through the residual.  A block update
+reads the residual once, as one weighted ``bincount`` onto the block's
+knots, and writes its change back once, as one gather and one subtract,
+so ``residual == y - intercept - sum(expanded components)`` holds up to
+rounding without a record-length copy of any component.
+
 A fit has one :class:`TrainConfig`: every stage, the objective and the
 oracle read ``problem.config``, the config the cached smoothers, factors
 and ridge were built from.
@@ -174,20 +182,23 @@ class PilotEstimate:
 
 @dataclass
 class TrainState:
-    """Mutable fitting state; the bookkeeping identity
-    ``residual == y - intercept - sum(all fitted components)`` holds at
-    the end of every stage, and every numerical component has record mean
-    zero."""
+    """Mutable fitting state.
+
+    Numerical curves live on their feature's knots and temporal
+    components on the compressed time points; ``residual`` and
+    ``categorical_fit`` are the only record-length arrays.  The
+    bookkeeping identity ``residual == y - intercept - sum(all fitted
+    components, expanded to the records)`` holds up to rounding at the
+    end of every stage, and every numerical component has record mean
+    zero.
+    """
 
     intercept: float
     residual: np.ndarray
     numerical_curves: dict      # name -> values on that feature's knots
-    numerical_fits: dict        # name -> record-space vector
     beta: np.ndarray
     categorical_fit: np.ndarray
     temporal_components: dict   # name -> TemporalComponents
-    trend_fits: dict            # name -> record-space vector
-    seasonal_fits: dict
     cycles: int = 0
     converged: bool = False
     objective_history: list = field(default_factory=list)
@@ -363,7 +374,6 @@ def initial_state(problem):
     """Intercept at the response mean, every component at zero."""
     y = problem.y
     intercept = float(y.mean())
-    n = problem.n
     return TrainState(
         intercept=intercept,
         residual=y - intercept,
@@ -371,12 +381,9 @@ def initial_state(problem):
             name: np.zeros(cache.knots.size)
             for name, cache in problem.numerical.items()
         },
-        numerical_fits={name: np.zeros(n) for name in problem.numerical},
         beta=np.zeros(problem.encoding.cardinality),
-        categorical_fit=np.zeros(n),
+        categorical_fit=np.zeros(problem.n),
         temporal_components={},
-        trend_fits={name: np.zeros(n) for name in problem.temporal},
-        seasonal_fits={name: np.zeros(n) for name in problem.temporal},
     )
 
 
@@ -440,10 +447,13 @@ def _stage1_order(problem, state):
 def stage1_backfit(problem, state):
     """Backfit the numerical features to partial convergence.
 
-    Each update smooths the feature's partial residual, recentres the
-    curve to record mean zero, and folds the mean into the intercept;
-    passes repeat until the largest component change per pass falls
-    under ``stage_tol_factor * sd(y)``.
+    Each update smooths the feature's partial residual on its knots (the
+    residual's knot means plus the old curve), recentres the curve to
+    record mean zero, folds the mean into the intercept, and subtracts
+    the curve's change from the residual through one gather; passes
+    repeat until the largest knot change per pass (every knot holds a
+    record, so the largest record change) falls under
+    ``stage_tol_factor * sd(y)``.
     """
     config = problem.config
     if not problem.numerical:
@@ -459,18 +469,15 @@ def stage1_backfit(problem, state):
         max_change = 0.0
         for name in order:
             cache = problem.numerical[name]
-            f_old = state.numerical_fits[name]
-            target = cache.knot_means(state.residual + f_old)
-            curve = cache.smooth(target)
+            old = state.numerical_curves[name]
+            curve = cache.smooth(cache.knot_means(state.residual) + old)
             mean = float(cache.counts @ curve) / n
-            curve = curve - mean
-            f_new = curve[cache.inverse]
-            state.residual += f_old - f_new - mean
+            curve -= mean
+            step = curve - old
+            state.residual -= (step + mean)[cache.inverse]
             state.intercept += mean
             state.numerical_curves[name] = curve
-            state.numerical_fits[name] = f_new
-            change = float(np.max(np.abs(f_new - f_old)))
-            max_change = max(max_change, change)
+            max_change = max(max_change, float(np.max(np.abs(step))))
         if max_change < tol:
             break
     state.stage1_passes.append(passes)
@@ -528,38 +535,36 @@ def stage2_categorical(problem, state):
 def stage3_temporal(problem, state):
     """Partial learning per temporal feature, in declaration order.
 
-    The record-space partial residual is compressed to the feature's time
-    grid (weighted means), decomposed, and expanded back.  The penalized
-    backend solves the decomposition exactly, keeping the previous
-    components if the solve would raise the local objective; the kernel
-    backend runs sweeps warm-started from them, at most
-    ``max_inner_iterations``.  Each call's sweep count and convergence
-    flag are recorded.  The trend's
-    weighted mean is folded into the intercept, which together with the
-    decomposition's seasonal conventions makes the fixed point unique.
+    The partial residual is compressed to the feature's time grid (the
+    residual's weighted means plus the old components), decomposed, and
+    the components' change is subtracted from the residual through one
+    gather.  The penalized backend solves the decomposition exactly,
+    keeping the previous components if the solve would raise the local
+    objective; the kernel backend runs sweeps warm-started from them, at
+    most ``max_inner_iterations``.  Each call's sweep count and
+    convergence flag are recorded.  The trend's weighted mean is folded
+    into the intercept, which together with the decomposition's seasonal
+    conventions makes the fixed point unique.
     """
     for name, cache in problem.temporal.items():
-        f_trend = state.trend_fits[name]
-        f_seasonal = state.seasonal_fits[name]
-        target = cache.knot_means(state.residual + f_trend + f_seasonal)
+        previous = state.temporal_components.get(name)
+        old = (
+            np.zeros(cache.series.n_points) if previous is None
+            else previous.trend + previous.seasonal
+        )
         components = decompose(
-            cache.series, cache.partition, target, problem.config,
-            initial=state.temporal_components.get(name),
-            smoothers=cache.smoothers,
+            cache.series, cache.partition,
+            cache.knot_means(state.residual) + old, problem.config,
+            initial=previous, smoothers=cache.smoothers,
         )
         state.stage3_sweeps.append(components.iterations)
         state.stage3_converged.append(components.converged)
         mean = float(np.average(components.trend, weights=cache.weights))
         components.trend = components.trend - mean
-        new_trend = components.trend[cache.series.back_map]
-        new_seasonal = components.seasonal[cache.series.back_map]
-        state.residual += (
-            f_trend + f_seasonal - new_trend - new_seasonal - mean
-        )
+        step = components.trend + components.seasonal + mean - old
+        state.residual -= step[cache.series.back_map]
         state.intercept += mean
         state.temporal_components[name] = components
-        state.trend_fits[name] = new_trend
-        state.seasonal_fits[name] = new_seasonal
     return state
 
 
@@ -747,22 +752,16 @@ def _sampling_initialization(problem, state):
         for i, smoother in enumerate(smoothers):
             curves[i], fits[i] = smoother.sweep(partial + fits[i])
 
-    delta = np.zeros(n)
-    mean_total = 0.0
     for (name, cache), smoother, curve in zip(
         problem.numerical.items(), smoothers, curves
     ):
         sampled = np.interp(cache.knots, smoother.centres, curve)
         mean = float(cache.counts @ sampled) / n
-        sampled = sampled - mean
-        fit = sampled[cache.inverse]
-        delta += state.numerical_fits[name]
-        delta -= fit
-        mean_total += mean
+        sampled -= mean
+        step = sampled - state.numerical_curves[name] + mean
+        state.residual -= step[cache.inverse]
+        state.intercept += mean
         state.numerical_curves[name] = sampled
-        state.numerical_fits[name] = fit
-    state.intercept += mean_total
-    state.residual += delta - mean_total
     return {"sample_size": int(sample_size), "pilot_size": int(pilot_n)}
 
 

@@ -8,7 +8,11 @@ from fxam.categorical import ConvergenceError, RidgeSystem, closed_form_ridge
 from fxam.data import Dataset
 from fxam.evaluation import _subset
 from fxam.model import predict_batch
-from fxam.oracle import normal_equation_direct_solve, normal_equation_residuals
+from fxam.oracle import (
+    expanded_components,
+    normal_equation_direct_solve,
+    normal_equation_residuals,
+)
 from fxam.smoothers import (
     default_bandwidth,
     naive_kernel_smooth,
@@ -250,10 +254,11 @@ class TestStage1:
         state = initial_state(problem)
         state = stage1_backfit(problem, state)
         # one more sweep must not move anything
-        before = state.numerical_fits["x0"].copy()
+        before = expanded_components(problem, state)["numerical:x0"]
         state = stage1_backfit(problem, state)
         np.testing.assert_allclose(
-            state.numerical_fits["x0"], before, atol=1e-12
+            expanded_components(problem, state)["numerical:x0"], before,
+            atol=1e-12,
         )
 
     def test_matches_brute_force_fixed_point(self):
@@ -286,9 +291,10 @@ class TestStage1:
                 mean = float(cache.counts @ curve) / 50
                 fits[name] = (curve - mean)[expand[name]]
                 alpha += mean
+        got = expanded_components(problem, state)
         for name in mats:
             np.testing.assert_allclose(
-                state.numerical_fits[name], fits[name], atol=1e-8
+                got[f"numerical:{name}"], fits[name], atol=1e-8
             )
         assert state.intercept == pytest.approx(alpha, abs=1e-8)
 
@@ -299,15 +305,15 @@ class TestStage1:
             problem = TrainingProblem(ds, tight_toy_config(
                 temporal_rules={}, dynamic_ordering=dynamic,
             ))
-            paths[dynamic] = stage1_backfit(problem, initial_state(problem))
+            paths[dynamic] = expanded_components(
+                problem, stage1_backfit(problem, initial_state(problem))
+            )
         plain, dyn = paths[False], paths[True]
         # both paths share the fixed point; the pass cap leaves a gap
         # well below the default stage tolerance
         for name in ds.numerical:
-            np.testing.assert_allclose(
-                plain.numerical_fits[name], dyn.numerical_fits[name],
-                atol=1e-5,
-            )
+            key = f"numerical:{name}"
+            np.testing.assert_allclose(plain[key], dyn[key], atol=1e-5)
 
     def test_no_numerical_features_is_noop(self):
         ds = Dataset(response=np.arange(5.0),
@@ -364,7 +370,7 @@ class TestStage1:
         problem = TrainingProblem(ds, config)
         state = stage1_backfit(problem, initial_state(problem))
         sd = float(np.std(ds.response))
-        for fit in state.numerical_fits.values():
+        for fit in expanded_components(problem, state).values():
             assert abs(fit.mean()) < 1e-10 * sd
 
 
@@ -564,8 +570,9 @@ class TestStage3:
         config = tight_toy_config()
         problem = TrainingProblem(ds, config)
         state = stage3_temporal(problem, initial_state(problem))
-        np.testing.assert_allclose(state.trend_fits["t"], 0.0, atol=1e-9)
-        np.testing.assert_allclose(state.seasonal_fits["t"], 0.0, atol=1e-9)
+        fits = expanded_components(problem, state)
+        np.testing.assert_allclose(fits["trend:t"], 0.0, atol=1e-9)
+        np.testing.assert_allclose(fits["seasonal:t"], 0.0, atol=1e-9)
         assert state.intercept == pytest.approx(3.0)
 
     def test_recovers_injected_seasonality(self):
@@ -581,8 +588,96 @@ class TestStage3:
         )
         problem = TrainingProblem(ds, config)
         state = stage3_temporal(problem, initial_state(problem))
-        corr = np.corrcoef(state.seasonal_fits["time"], seasonal)[0, 1]
+        fitted = expanded_components(problem, state)["seasonal:time"]
+        corr = np.corrcoef(fitted, seasonal)[0, 1]
         assert corr >= 0.9
+
+
+def sampled_mixed_dataset(seed, n=50_000):
+    """Mixed dataset large enough for the sampling initialization, with
+    far fewer knots and time points than records."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.integers(0, 500, n) * 0.02
+    x2 = rng.integers(0, 300, n) * 0.05 - 7.0
+    z = rng.choice(["a", "b", "c", "d"], n)
+    t = rng.integers(0, 400, n)
+    y = (
+        np.sin(x1) + 0.1 * x2 * x2
+        + np.where(z == "a", 0.5, np.where(z == "b", -0.3, 0.1))
+        + 0.002 * t + 0.4 * np.sin(2 * np.pi * t / 7)
+        + rng.normal(0, 0.3, n)
+    )
+    return Dataset(
+        response=y, numerical={"x1": x1, "x2": x2},
+        categorical={"z": z}, temporal={"t": t},
+    )
+
+
+def identity_gap(problem, state):
+    """Largest gap in ``residual == y - intercept - every component``."""
+    fitted = state.intercept + state.categorical_fit
+    for fit in expanded_components(problem, state).values():
+        fitted = fitted + fit
+    return float(np.max(np.abs(problem.y - fitted - state.residual)))
+
+
+def record_length_arrays(value, n):
+    """The 1-d arrays of length ``n`` held anywhere in ``value``."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.shape == (n,) else []
+    if isinstance(value, dict):
+        parts = value.values()
+    elif isinstance(value, (list, tuple)):
+        parts = value
+    elif hasattr(value, "__dict__"):
+        parts = vars(value).values()
+    else:
+        return []
+    return [a for part in parts for a in record_length_arrays(part, n)]
+
+
+class TestResidualBookkeeping:
+    STAGES = (stage1_backfit, stage2_categorical, stage3_temporal)
+
+    @pytest.mark.parametrize("backend", ["penalized", "fast-kernel"])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_residual_identity_after_every_stage(self, backend, sampled):
+        if sampled:
+            ds = sampled_mixed_dataset(0)
+            config = tight_toy_config(
+                backend=backend, sampling=True, sampling_threshold=10_000,
+                temporal_rules={"t": TemporalRule(period=7, tau=1)},
+            )
+        else:
+            ds = make_toy_dataset(0)
+            config = tight_toy_config(backend=backend)
+        problem = TrainingProblem(ds, config)
+        state = initial_state(problem)
+        gate = 1e-12 * problem.scale
+        if sampled:
+            info = fxam.training._sampling_initialization(problem, state)
+            assert info["sample_size"] < problem.n
+            assert identity_gap(problem, state) <= gate
+        for _ in range(3):
+            for stage in self.STAGES:
+                state = stage(problem, state)
+                assert identity_gap(problem, state) <= gate, stage.__name__
+
+    def test_state_holds_two_record_length_arrays(self):
+        ds = sampled_mixed_dataset(1)
+        config = tight_toy_config(
+            temporal_rules={"t": TemporalRule(period=7, tau=1)},
+        )
+        problem = TrainingProblem(ds, config)
+        state = initial_state(problem)
+        expected = [state.residual, state.categorical_fit]
+        for _ in range(2):
+            found = record_length_arrays(state, problem.n)
+            assert len(found) == 2
+            assert all(any(a is b for b in expected) for a in found)
+            for stage in self.STAGES:
+                state = stage(problem, state)
+            expected = [state.residual, state.categorical_fit]
 
 
 class TestTsiTrain:
@@ -809,9 +904,10 @@ class TestNormalEquations:
             state = stage3_temporal(problem, state)
         delta = 0.01
         bump = delta * np.sign(
-            np.sin(np.arange(problem.n))  # zero-mean-ish probe direction
+            # zero-mean-ish probe direction on the knots
+            np.sin(np.arange(problem.numerical["x1"].knots.size))
         )
-        state.numerical_fits["x1"] = state.numerical_fits["x1"] + bump
+        state.numerical_curves["x1"] = state.numerical_curves["x1"] + bump
         residuals = normal_equation_residuals(problem, state)
         assert residuals["numerical:x1"] >= 0.5 * delta
 
